@@ -31,7 +31,9 @@ class HostilePeer {
       : victim_(victim), aead_(victim.config().aead_key) {}
 
   /// Seals `frames` as a short-header packet numbered `pn` in `path`'s
-  /// number space. The wire image is independently replayable.
+  /// number space, through the same seal_packet_buffer the connection's
+  /// send path uses. The wire image is copied out of the packet pool, so it
+  /// is independently replayable and holds no pool slot.
   std::vector<std::uint8_t> seal(quic::PathId path, quic::PacketNumber pn,
                                  const std::vector<quic::Frame>& frames) const;
 
@@ -61,7 +63,9 @@ class HostilePeer {
   std::uint64_t packets_injected() const { return injected_; }
 
   /// Decrypts one captured victim datagram (tests feed datagrams recorded
-  /// from the victim's send callback). Nullopt if it does not parse.
+  /// from the victim's send callback) through the receive path's
+  /// parse/open-in-place steps. Frames own their payloads, so they outlive
+  /// the wire buffer. Nullopt if it does not parse.
   std::optional<std::vector<quic::Frame>> open(
       std::span<const std::uint8_t> wire) const;
 

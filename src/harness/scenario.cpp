@@ -7,6 +7,13 @@
 
 namespace xlink::harness {
 
+namespace {
+// Connection-migration baseline policy: migrate when no packet has
+// arrived for this long while a download is outstanding.
+constexpr sim::Duration kCmStallThreshold = sim::millis(600);
+constexpr sim::Duration kCmProbeInterval = sim::millis(100);
+}  // namespace
+
 net::PathSpec make_path_spec(net::Wireless tech, trace::LinkTrace down_trace,
                              sim::Duration rtt, double loss_rate) {
   net::PathSpec spec;
@@ -49,7 +56,6 @@ Session::Session(SessionConfig config) : config_(std::move(config)) {
                                              config_.options);
   client_cfg.trace = trace_.get();
   client_cfg.health.enabled = config_.path_health;
-  client_cfg.budgets.enforce = config_.guard;
   client_cfg.audit.enabled = config_.audit;
   client_conn_ = std::make_unique<quic::Connection>(loop_,
                                                     std::move(client_cfg));
@@ -60,7 +66,6 @@ Session::Session(SessionConfig config) : config_(std::move(config)) {
     server_cfg.scheduler = config_.server_scheduler_override;
   server_cfg.trace = trace_.get();
   server_cfg.health.enabled = config_.path_health;
-  server_cfg.budgets.enforce = config_.guard;
   server_cfg.audit.enabled = config_.audit;
   server_conn_ = std::make_unique<quic::Connection>(loop_,
                                                     std::move(server_cfg));
@@ -179,7 +184,7 @@ void Session::cm_probe() {
     cm_last_rx_packets_ = progress;
     cm_last_progress_ = loop_.now();
   } else if (!media_client_->all_done() &&
-             loop_.now() - cm_last_progress_ >= config_.cm_stall_threshold &&
+             loop_.now() - cm_last_progress_ >= kCmStallThreshold &&
              network_->path_count() > 1) {
     // Stalled: migrate to the next interface under a fresh connection ID
     // (path ids wrap onto physical links in the endpoint). Migration stops
@@ -189,7 +194,7 @@ void Session::cm_probe() {
         static_cast<quic::PathId>(cm_current_path_));
     cm_last_progress_ = loop_.now();
   }
-  loop_.schedule_in(config_.cm_probe_interval, [this] { cm_probe(); });
+  loop_.schedule_in(kCmProbeInterval, [this] { cm_probe(); });
 }
 
 void Session::sample_tick() {
@@ -208,7 +213,7 @@ SessionResult Session::run() {
   client_conn_->connect();
   if (config_.scheme == core::Scheme::kConnMigration) {
     cm_last_progress_ = loop_.now();
-    loop_.schedule_in(config_.cm_probe_interval, [this] { cm_probe(); });
+    loop_.schedule_in(kCmProbeInterval, [this] { cm_probe(); });
   }
   if (on_sample) sample_tick();
 

@@ -67,16 +67,9 @@ struct SessionConfig {
   /// (DESIGN.md §7). Off reproduces the pre-failover transport, which the
   /// chaos suite uses as its no-failover baseline.
   bool path_health = true;
-  /// Hostile-peer guard on both endpoints (quic/guard.h). Off reproduces
-  /// the pre-guard permissive transport for ablations.
-  bool guard = true;
   /// Invariant auditor on both endpoints; additionally gated by the
   /// XLINK_AUDIT env variable and the XLINK_AUDIT build option.
   bool audit = true;
-  // Connection-migration baseline policy: migrate when no packet has
-  // arrived for this long while a download is outstanding.
-  sim::Duration cm_stall_threshold = sim::millis(600);
-  sim::Duration cm_probe_interval = sim::millis(100);
   TraceConfig trace;
 };
 

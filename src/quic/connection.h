@@ -205,8 +205,7 @@ class Connection {
     fec::FecConfig fec;
 
     /// Hostile-peer hardening: per-connection resource budgets consulted
-    /// at every peer-driven allocation point (guard.h). `budgets.enforce =
-    /// false` reproduces the pre-guard permissive transport.
+    /// at every peer-driven allocation point (guard.h). Always enforced.
     ResourceBudgets budgets;
 
     /// Invariant auditor; `audit.enabled` is additionally ANDed with
@@ -422,8 +421,8 @@ class Connection {
 
   // Guard machinery.
   /// Records the violation (trace + counters) and escalates to a graceful
-  /// CONNECTION_CLOSE with the given transport error code. No-op when
-  /// budgets.enforce is off or the connection is already terminating.
+  /// CONNECTION_CLOSE with the given transport error code. No-op when the
+  /// connection is already terminating.
   void close_with_error(TransportError code, ViolationKind kind,
                         std::uint64_t observed, PathId path);
   /// True if `frame` may legally arrive in the current connection state

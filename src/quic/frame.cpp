@@ -419,14 +419,6 @@ std::optional<Frame> parse_frame(Reader& r, PayloadOwnership own) {
   }
 }
 
-std::optional<std::vector<Frame>> parse_frames(
-    std::span<const std::uint8_t> payload) {
-  std::vector<Frame> frames;
-  if (!parse_frames_into(payload, frames, PayloadOwnership::kCopy))
-    return std::nullopt;
-  return frames;
-}
-
 bool parse_frames_into(std::span<const std::uint8_t> payload,
                        std::vector<Frame>& out, PayloadOwnership own) {
   Reader r(payload);

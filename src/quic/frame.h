@@ -284,10 +284,6 @@ enum class PayloadOwnership { kCopy, kBorrow };
 std::optional<Frame> parse_frame(Reader& r,
                                  PayloadOwnership own = PayloadOwnership::kCopy);
 
-/// Parses a full packet payload into frames; nullopt if any frame is bad.
-std::optional<std::vector<Frame>> parse_frames(
-    std::span<const std::uint8_t> payload);
-
 /// Appends the payload's frames to `out` (reusing its capacity -- the
 /// receive hot path passes a cleared scratch vector); false if any frame is
 /// bad. Borrowed frames view `payload` directly.

@@ -73,10 +73,6 @@ const char* violation_kind_name(ViolationKind kind);
 /// can force this endpoint to hold; the defaults leave an order of
 /// magnitude of headroom over anything honest traffic produces.
 struct ResourceBudgets {
-  /// Master switch: off records nothing and closes nothing (the pre-guard
-  /// permissive transport, kept for ablations).
-  bool enforce = true;
-
   /// Open receive streams a peer may create.
   std::uint64_t max_open_recv_streams = 1024;
 

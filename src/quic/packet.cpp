@@ -78,13 +78,6 @@ net::PacketBuffer seal_packet_buffer(const PacketProtection& aead,
   return out;
 }
 
-std::vector<std::uint8_t> seal_packet(const PacketProtection& aead,
-                                      const PacketHeader& header,
-                                      const std::vector<Frame>& frames) {
-  const net::PacketBuffer buf = seal_packet_buffer(aead, header, frames);
-  return std::vector<std::uint8_t>(buf.begin(), buf.end());
-}
-
 std::optional<PacketView> parse_packet_view(std::span<std::uint8_t> datagram) {
   PacketView pkt;
   const auto hdr_len = parse_header(datagram, pkt.header);
@@ -101,27 +94,6 @@ std::optional<std::span<const std::uint8_t>> open_packet_in_place(
                          pkt.header_bytes, pkt.ciphertext);
   if (!len) return std::nullopt;
   return std::span<const std::uint8_t>(pkt.ciphertext.first(*len));
-}
-
-std::optional<ReceivedPacket> parse_packet(
-    std::span<const std::uint8_t> datagram) {
-  ReceivedPacket pkt;
-  const auto hdr_len = parse_header(datagram, pkt.header);
-  if (!hdr_len) return std::nullopt;
-  pkt.header_bytes.assign(datagram.begin(),
-                          datagram.begin() + static_cast<long>(*hdr_len));
-  pkt.ciphertext.assign(datagram.begin() + static_cast<long>(*hdr_len),
-                        datagram.end());
-  return pkt;
-}
-
-std::optional<std::vector<Frame>> open_packet(const PacketProtection& aead,
-                                              const ReceivedPacket& pkt) {
-  auto plaintext =
-      aead.open(pkt.header.cid_sequence, pkt.header.packet_number,
-                pkt.header_bytes, pkt.ciphertext);
-  if (!plaintext) return std::nullopt;
-  return parse_frames(*plaintext);
 }
 
 std::size_t header_size(PacketType type, PacketNumber pn) {

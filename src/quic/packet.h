@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "net/packet_buffer.h"
 #include "quic/crypto.h"
@@ -37,14 +36,6 @@ struct PacketHeader {
   PacketNumber packet_number = 0;
 };
 
-/// A parsed-but-not-yet-decrypted packet (owning copies; legacy/offline
-/// path -- the hot path uses PacketView below).
-struct ReceivedPacket {
-  PacketHeader header;
-  std::vector<std::uint8_t> header_bytes;  // AAD
-  std::vector<std::uint8_t> ciphertext;    // payload || tag
-};
-
 /// A parsed packet whose bytes still live in the receive buffer: the AAD
 /// and ciphertext are borrowed spans, and open_packet_in_place decrypts
 /// the ciphertext span directly. Valid only while the datagram is alive.
@@ -64,11 +55,6 @@ net::PacketBuffer seal_packet_buffer(const PacketProtection& aead,
                                      const PacketHeader& header,
                                      std::span<const Frame> frames);
 
-/// Copying convenience over seal_packet_buffer (tests, offline tools).
-std::vector<std::uint8_t> seal_packet(const PacketProtection& aead,
-                                      const PacketHeader& header,
-                                      const std::vector<Frame>& frames);
-
 /// Splits wire bytes into borrowed header/ciphertext views; nullopt on
 /// malformed input. The mutable span lets open_packet_in_place decrypt the
 /// buffer it points into.
@@ -78,14 +64,6 @@ std::optional<PacketView> parse_packet_view(std::span<std::uint8_t> datagram);
 /// payload span (a prefix of pkt.ciphertext) or nullopt on auth failure.
 std::optional<std::span<const std::uint8_t>> open_packet_in_place(
     const PacketProtection& aead, const PacketView& pkt);
-
-/// Splits wire bytes into header + ciphertext; nullopt on malformed input.
-std::optional<ReceivedPacket> parse_packet(
-    std::span<const std::uint8_t> datagram);
-
-/// Decrypts and parses the frames of a received packet.
-std::optional<std::vector<Frame>> open_packet(const PacketProtection& aead,
-                                              const ReceivedPacket& pkt);
 
 /// Wire overhead of a packet header (for payload budgeting).
 std::size_t header_size(PacketType type, PacketNumber pn);

@@ -23,12 +23,6 @@ int SendStream::frame_priority_at(std::uint64_t offset) const {
   return best;
 }
 
-std::vector<std::uint8_t> SendStream::read_range(std::uint64_t offset,
-                                                 std::size_t len) const {
-  const auto view = view_range(offset, len);
-  return {view.begin(), view.end()};
-}
-
 std::span<const std::uint8_t> SendStream::view_range(std::uint64_t offset,
                                                      std::size_t len) const {
   if (offset >= buffer_.size()) return {};

@@ -18,9 +18,10 @@ using StreamId = std::uint64_t;
 /// on that path (draft-liu-multipath-quic).
 using PathId = std::uint32_t;
 
-/// Byte of every issued CID that carries the issuing server's id for
-/// QUIC-LB routing (paper §6: "a real server encodes a server ID in the
-/// CID issued to the client"). See lb/quic_lb.h.
+/// Byte of every issued CID that carries the issuing server's id (paper §6:
+/// "a real server encodes a server ID in the CID issued to the client" so a
+/// QUIC-LB load balancer can route every path to it; the load balancer
+/// itself is a deployment detail and not reproduced).
 constexpr std::size_t kCidServerIdOffset = 1;
 
 /// 8-byte connection ID with its sequence number.

@@ -30,22 +30,34 @@ TEST(Nonce, DistinctAcrossPathsAndPackets) {
   EXPECT_EQ(build_multipath_nonce(3, 9), build_multipath_nonce(3, 9));
 }
 
+/// plaintext || room for the tag, sealed in place as the send path does.
+std::vector<std::uint8_t> seal(const PacketProtection& aead,
+                               std::uint32_t cid_sequence, PacketNumber pn,
+                               std::span<const std::uint8_t> aad,
+                               std::vector<std::uint8_t> plaintext) {
+  const std::size_t len = plaintext.size();
+  plaintext.resize(len + kAeadTagSize);
+  aead.seal_in_place(cid_sequence, pn, aad, plaintext.data(), len);
+  return plaintext;
+}
+
 TEST(Aead, SealOpenRoundtrip) {
   PacketProtection aead(0xdead);
   const std::vector<std::uint8_t> aad{1, 2, 3};
   const std::vector<std::uint8_t> plaintext{10, 20, 30, 40, 50};
-  const auto sealed = aead.seal(1, 7, aad, plaintext);
+  auto sealed = seal(aead, 1, 7, aad, plaintext);
   EXPECT_EQ(sealed.size(), plaintext.size() + kAeadTagSize);
-  const auto opened = aead.open(1, 7, aad, sealed);
+  const auto opened = aead.open_in_place(1, 7, aad, sealed);
   ASSERT_TRUE(opened.has_value());
-  EXPECT_EQ(*opened, plaintext);
+  sealed.resize(*opened);
+  EXPECT_EQ(sealed, plaintext);
 }
 
 TEST(Aead, CiphertextDiffersFromPlaintext) {
   PacketProtection aead(0xdead);
   const std::vector<std::uint8_t> plaintext(64, 0xaa);
   const std::vector<std::uint8_t> none;
-  const auto sealed = aead.seal(0, 0, none, plaintext);
+  const auto sealed = seal(aead, 0, 0, none, plaintext);
   bool differs = false;
   for (std::size_t i = 0; i < plaintext.size(); ++i)
     differs |= sealed[i] != plaintext[i];
@@ -55,60 +67,65 @@ TEST(Aead, CiphertextDiffersFromPlaintext) {
 TEST(Aead, WrongKeyFails) {
   PacketProtection a(1), b(2);
   const std::vector<std::uint8_t> none;
-  const std::vector<std::uint8_t> pt{1, 2, 3};
-  const auto sealed = a.seal(0, 0, none, pt);
-  EXPECT_FALSE(b.open(0, 0, none, sealed).has_value());
+  auto sealed = seal(a, 0, 0, none, {1, 2, 3});
+  EXPECT_FALSE(b.open_in_place(0, 0, none, sealed).has_value());
 }
 
 TEST(Aead, WrongPathIdFails) {
   PacketProtection aead(5);
   const std::vector<std::uint8_t> none;
-  const std::vector<std::uint8_t> pt{1, 2, 3};
-  const auto sealed = aead.seal(1, 10, none, pt);
-  EXPECT_FALSE(aead.open(2, 10, none, sealed).has_value());
+  auto sealed = seal(aead, 1, 10, none, {1, 2, 3});
+  EXPECT_FALSE(aead.open_in_place(2, 10, none, sealed).has_value());
 }
 
 TEST(Aead, WrongPacketNumberFails) {
   PacketProtection aead(5);
   const std::vector<std::uint8_t> none;
-  const std::vector<std::uint8_t> pt{1, 2, 3};
-  const auto sealed = aead.seal(1, 10, none, pt);
-  EXPECT_FALSE(aead.open(1, 11, none, sealed).has_value());
+  auto sealed = seal(aead, 1, 10, none, {1, 2, 3});
+  EXPECT_FALSE(aead.open_in_place(1, 11, none, sealed).has_value());
 }
 
 TEST(Aead, TamperedCiphertextFails) {
   PacketProtection aead(5);
   const std::vector<std::uint8_t> none;
-  const std::vector<std::uint8_t> pt{1, 2, 3, 4};
-  auto sealed = aead.seal(1, 10, none, pt);
+  auto sealed = seal(aead, 1, 10, none, {1, 2, 3, 4});
   sealed[1] ^= 0x01;
-  EXPECT_FALSE(aead.open(1, 10, none, sealed).has_value());
+  EXPECT_FALSE(aead.open_in_place(1, 10, none, sealed).has_value());
 }
 
 TEST(Aead, TamperedAadFails) {
   PacketProtection aead(5);
   const std::vector<std::uint8_t> aad{9, 9};
-  const std::vector<std::uint8_t> pt{1, 2, 3};
-  const auto sealed = aead.seal(1, 10, aad, pt);
+  auto sealed = seal(aead, 1, 10, aad, {1, 2, 3});
   const std::vector<std::uint8_t> other_aad{9, 8};
-  EXPECT_FALSE(aead.open(1, 10, other_aad, sealed).has_value());
+  EXPECT_FALSE(aead.open_in_place(1, 10, other_aad, sealed).has_value());
 }
 
 TEST(Aead, TooShortInputFails) {
   PacketProtection aead(5);
   const std::vector<std::uint8_t> none;
-  const std::vector<std::uint8_t> tiny(kAeadTagSize - 1, 0);
-  EXPECT_FALSE(aead.open(0, 0, none, tiny).has_value());
+  std::vector<std::uint8_t> tiny(kAeadTagSize - 1, 0);
+  EXPECT_FALSE(aead.open_in_place(0, 0, none, tiny).has_value());
 }
 
 TEST(Aead, EmptyPlaintextAuthenticates) {
   PacketProtection aead(5);
   const std::vector<std::uint8_t> aad{7};
-  const std::vector<std::uint8_t> empty;
-  const auto sealed = aead.seal(0, 1, aad, empty);
-  const auto opened = aead.open(0, 1, aad, sealed);
+  auto sealed = seal(aead, 0, 1, aad, {});
+  const auto opened = aead.open_in_place(0, 1, aad, sealed);
   ASSERT_TRUE(opened.has_value());
-  EXPECT_TRUE(opened->empty());
+  EXPECT_EQ(*opened, 0u);
+}
+
+/// Receive path as Connection::on_datagram runs it: parse the header view,
+/// decrypt in place, borrow the frames out of the buffer.
+std::optional<std::vector<Frame>> open_frames(const PacketProtection& aead,
+                                              const PacketView& pkt) {
+  const auto plaintext = open_packet_in_place(aead, pkt);
+  std::vector<Frame> frames;
+  if (!plaintext || !parse_frames_into(*plaintext, frames))
+    return std::nullopt;
+  return frames;
 }
 
 TEST(Packet, OneRttRoundtrip) {
@@ -119,26 +136,33 @@ TEST(Packet, OneRttRoundtrip) {
   h.cid_sequence = 2;
   h.packet_number = 99;
 
-  std::vector<Frame> frames;
-  StreamFrame s;
-  s.stream_id = 4;
-  s.offset = 1000;
-  s.data = {1, 2, 3};
-  frames.emplace_back(s);
-  frames.emplace_back(PingFrame{});
+  // A small packet seals into a pool slot; a STREAM frame larger than the
+  // slot takes seal_packet_buffer's oversize fallback (sized, standalone).
+  constexpr std::size_t kSlot = net::PacketBufferPool::kSlotCapacity;
+  for (const FrameData& data :
+       {FrameData{1, 2, 3}, FrameData(std::vector<std::uint8_t>(kSlot, 7))}) {
+    std::vector<Frame> frames;
+    StreamFrame s;
+    s.stream_id = 4;
+    s.offset = 1000;
+    s.data = data;
+    frames.emplace_back(s);
+    frames.emplace_back(PingFrame{});
 
-  const auto wire = seal_packet(aead, h, frames);
-  const auto parsed = parse_packet(wire);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->header.type, PacketType::kOneRtt);
-  EXPECT_EQ(parsed->header.dcid, h.dcid);
-  EXPECT_EQ(parsed->header.cid_sequence, 2u);
-  EXPECT_EQ(parsed->header.packet_number, 99u);
+    auto wire = seal_packet_buffer(aead, h, frames);
+    EXPECT_EQ(wire.size() > kSlot, data.size() == kSlot);
+    const auto parsed = parse_packet_view(wire.span());
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->header.type, PacketType::kOneRtt);
+    EXPECT_EQ(parsed->header.dcid, h.dcid);
+    EXPECT_EQ(parsed->header.cid_sequence, 2u);
+    EXPECT_EQ(parsed->header.packet_number, 99u);
 
-  const auto opened = open_packet(aead, *parsed);
-  ASSERT_TRUE(opened.has_value());
-  ASSERT_EQ(opened->size(), 2u);
-  EXPECT_EQ((*opened)[0], Frame{s});
+    const auto opened = open_frames(aead, *parsed);
+    ASSERT_TRUE(opened.has_value());
+    ASSERT_EQ(opened->size(), 2u);
+    EXPECT_EQ((*opened)[0], Frame{s});
+  }
 }
 
 TEST(Packet, InitialRoundtripCarriesScid) {
@@ -148,32 +172,33 @@ TEST(Packet, InitialRoundtripCarriesScid) {
   h.dcid = {8, 7, 6, 5, 4, 3, 2, 1};
   h.scid = {1, 1, 2, 2, 3, 3, 4, 4};
   h.packet_number = 0;
-  const auto wire =
-      seal_packet(aead, h, {Frame{CryptoFrame{0, {1, 2, 3}}}});
-  const auto parsed = parse_packet(wire);
+  const std::vector<Frame> frames{Frame{CryptoFrame{0, {1, 2, 3}}}};
+  auto wire = seal_packet_buffer(aead, h, frames);
+  const auto parsed = parse_packet_view(wire.span());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->header.type, PacketType::kInitial);
   EXPECT_EQ(parsed->header.scid, h.scid);
-  EXPECT_TRUE(open_packet(aead, *parsed).has_value());
+  EXPECT_TRUE(open_frames(aead, *parsed).has_value());
 }
 
 TEST(Packet, GarbageFailsParse) {
-  EXPECT_FALSE(parse_packet(std::vector<std::uint8_t>{}).has_value());
-  EXPECT_FALSE(
-      parse_packet(std::vector<std::uint8_t>{0xff, 1, 2}).has_value());
+  std::vector<std::uint8_t> empty, bad_type{0xff, 1, 2};
   // Valid first byte but truncated header.
-  EXPECT_FALSE(
-      parse_packet(std::vector<std::uint8_t>{0x40, 1, 2, 3}).has_value());
+  std::vector<std::uint8_t> truncated{0x40, 1, 2, 3};
+  EXPECT_FALSE(parse_packet_view(empty).has_value());
+  EXPECT_FALSE(parse_packet_view(bad_type).has_value());
+  EXPECT_FALSE(parse_packet_view(truncated).has_value());
 }
 
 TEST(Packet, WrongKeyFailsOpen) {
   PacketProtection good(1), bad(2);
   PacketHeader h;
   h.packet_number = 5;
-  const auto wire = seal_packet(good, h, {Frame{PingFrame{}}});
-  const auto parsed = parse_packet(wire);
+  const std::vector<Frame> ping{Frame{PingFrame{}}};
+  auto wire = seal_packet_buffer(good, h, ping);
+  const auto parsed = parse_packet_view(wire.span());
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_FALSE(open_packet(bad, *parsed).has_value());
+  EXPECT_FALSE(open_packet_in_place(bad, *parsed).has_value());
 }
 
 TEST(Packet, HeaderTamperFailsOpen) {
@@ -181,11 +206,12 @@ TEST(Packet, HeaderTamperFailsOpen) {
   PacketHeader h;
   h.packet_number = 5;
   h.cid_sequence = 0;
-  auto wire = seal_packet(aead, h, {Frame{PingFrame{}}});
+  const std::vector<Frame> ping{Frame{PingFrame{}}};
+  auto wire = seal_packet_buffer(aead, h, ping);
   wire[2] ^= 0xff;  // flip a DCID byte (inside the AAD)
-  const auto parsed = parse_packet(wire);
+  const auto parsed = parse_packet_view(wire.span());
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_FALSE(open_packet(aead, *parsed).has_value());
+  EXPECT_FALSE(open_packet_in_place(aead, *parsed).has_value());
 }
 
 TEST(Packet, HeaderSizeMatchesWire) {
@@ -193,8 +219,9 @@ TEST(Packet, HeaderSizeMatchesWire) {
   PacketHeader h;
   h.type = PacketType::kOneRtt;
   h.packet_number = 70000;  // 4-byte varint
-  const auto wire = seal_packet(aead, h, {Frame{PingFrame{}}});
-  const auto parsed = parse_packet(wire);
+  const std::vector<Frame> ping{Frame{PingFrame{}}};
+  auto wire = seal_packet_buffer(aead, h, ping);
+  const auto parsed = parse_packet_view(wire.span());
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->header_bytes.size(),
             header_size(PacketType::kOneRtt, 70000));

@@ -192,16 +192,17 @@ TEST(Frames, ParseFramesWholePayload) {
   s.stream_id = 0;
   s.data = {1};
   encode_frame(Frame{s}, w);
-  const auto frames = parse_frames(w.data());
-  ASSERT_TRUE(frames.has_value());
-  EXPECT_EQ(frames->size(), 2u);
+  std::vector<Frame> frames;
+  ASSERT_TRUE(parse_frames_into(w.data(), frames));
+  EXPECT_EQ(frames.size(), 2u);
 }
 
 TEST(Frames, ParseFramesRejectsTrailingGarbage) {
   Writer w;
   encode_frame(Frame{PingFrame{}}, w);
   w.u8(0x77);  // not a valid frame start... 0x77 parses as varint type 0x37
-  EXPECT_FALSE(parse_frames(w.data()).has_value());
+  std::vector<Frame> frames;
+  EXPECT_FALSE(parse_frames_into(w.data(), frames));
 }
 
 TEST(Frames, AckEliciting) {

@@ -1,12 +1,15 @@
 // Deterministic fuzz sweep over the wire parsers.
 //
 // Not a coverage-guided fuzzer: an exhaustive small-input sweep that runs
-// in CI under ASan/UBSan. For one exemplar of every frame type we check
-// the round trip, then parse every truncation prefix and every single-bit
-// flip of its encoding -- the parser must return a value or nullopt, never
-// assert, read out of bounds, or overflow. Sealed packets get the same
-// sweep through parse_packet/open_packet, where every bit flip must be
-// rejected (header flips change the AAD, payload flips break the MAC).
+// in CI under ASan/UBSan. It drives exactly the receive path
+// Connection::on_datagram runs: parse_packet_view -> open_packet_in_place
+// -> parse_frames_into with borrowed payloads. For one exemplar of every
+// frame type we check the round trip, then parse every truncation prefix
+// and every single-bit flip of its encoding -- the parser must return a
+// value or nullopt, never assert, read out of bounds, or overflow. Sealed
+// packets get the same sweep, each mutant in its own mutable buffer (the
+// open decrypts in place), and every bit flip must be rejected (header
+// flips change the AAD, payload flips break the MAC).
 #include <gtest/gtest.h>
 
 #include "quic/crypto.h"
@@ -70,6 +73,15 @@ std::vector<Frame> exemplar_frames() {
   };
 }
 
+/// Frames borrow their payloads from `payload`, as on the receive path.
+std::optional<std::vector<Frame>> parse(
+    std::span<const std::uint8_t> payload) {
+  std::vector<Frame> frames;
+  if (!parse_frames_into(payload, frames, PayloadOwnership::kBorrow))
+    return std::nullopt;
+  return frames;
+}
+
 std::vector<std::uint8_t> encode_one(const Frame& f) {
   Writer w;
   encode_frame(f, w);
@@ -79,7 +91,7 @@ std::vector<std::uint8_t> encode_one(const Frame& f) {
 TEST(ParserFuzz, EveryFrameTypeRoundTrips) {
   for (const Frame& f : exemplar_frames()) {
     const auto wire = encode_one(f);
-    const auto parsed = parse_frames(wire);
+    const auto parsed = parse(wire);
     ASSERT_TRUE(parsed.has_value()) << "frame index " << f.index();
     ASSERT_EQ(parsed->size(), 1u);
     EXPECT_EQ(parsed->front(), f) << "frame index " << f.index();
@@ -91,7 +103,7 @@ TEST(ParserFuzz, TruncationAtEveryOffsetNeverCrashes) {
     const auto wire = encode_one(f);
     for (std::size_t cut = 0; cut < wire.size(); ++cut) {
       const std::span<const std::uint8_t> prefix(wire.data(), cut);
-      const auto parsed = parse_frames(prefix);
+      const auto parsed = parse(prefix);
       // A strict prefix either fails or parses to something that encodes
       // back to exactly the prefix (e.g. a shorter padding run); it must
       // never "invent" trailing bytes.
@@ -114,7 +126,7 @@ TEST(ParserFuzz, BitFlipAtEveryPositionNeverCrashes) {
       mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
       // Must not crash / overflow; the result itself is unconstrained
       // (a flip can produce a different but valid frame).
-      (void)parse_frames(mutated);
+      (void)parse(mutated);
     }
   }
 }
@@ -132,12 +144,12 @@ TEST(ParserFuzz, GarbageInputsNeverCrash) {
   for (int round = 0; round < 256; ++round) {
     std::vector<std::uint8_t> buf(round);
     for (auto& b : buf) b = next();
-    (void)parse_frames(buf);
+    (void)parse(buf);
   }
   // CRYPTO frame claiming 2^30 bytes of data it does not carry.
   const std::vector<std::uint8_t> liar = {0x06, 0x00, 0xC0, 0x00, 0x00,
                                           0x00, 0x40, 0x00, 0x00, 0x00};
-  EXPECT_FALSE(parse_frames(liar).has_value());
+  EXPECT_FALSE(parse(liar).has_value());
 }
 
 TEST(ParserFuzz, StreamOffsetOverflowIsRejected) {
@@ -149,14 +161,14 @@ TEST(ParserFuzz, StreamOffsetOverflowIsRejected) {
   w.varint(kVarintMax);  // offset
   w.varint(1);           // length
   w.u8(0xFF);
-  EXPECT_FALSE(parse_frames(w.data()).has_value());
+  EXPECT_FALSE(parse(w.data()).has_value());
 
   Writer c;
   c.varint(0x06);        // CRYPTO
   c.varint(kVarintMax);  // offset
   c.varint(1);
   c.u8(0xFF);
-  EXPECT_FALSE(parse_frames(c.data()).has_value());
+  EXPECT_FALSE(parse(c.data()).has_value());
 }
 
 TEST(ParserFuzz, SealedPacketSurvivesTruncationAndRejectsEveryBitFlip) {
@@ -170,31 +182,36 @@ TEST(ParserFuzz, SealedPacketSurvivesTruncationAndRejectsEveryBitFlip) {
       Frame{StreamFrame{4, 128, {10, 20, 30, 40}, false}},
       Frame{PingFrame{}},
   };
-  const auto wire = seal_packet(aead, header, frames);
+  const net::PacketBuffer sealed = seal_packet_buffer(aead, header, frames);
+  const std::vector<std::uint8_t> wire(sealed.begin(), sealed.end());
 
   // Sanity: the untampered packet opens.
   {
-    const auto pkt = parse_packet(wire);
+    std::vector<std::uint8_t> buf = wire;
+    const auto pkt = parse_packet_view(buf);
     ASSERT_TRUE(pkt.has_value());
-    const auto opened = open_packet(aead, *pkt);
+    const auto plaintext = open_packet_in_place(aead, *pkt);
+    ASSERT_TRUE(plaintext.has_value());
+    const auto opened = parse(*plaintext);
     ASSERT_TRUE(opened.has_value());
     EXPECT_EQ(*opened, frames);
   }
 
   for (std::size_t cut = 0; cut < wire.size(); ++cut) {
-    const std::span<const std::uint8_t> prefix(wire.data(), cut);
-    const auto pkt = parse_packet(prefix);
+    std::vector<std::uint8_t> prefix(wire.begin(), wire.begin() + cut);
+    const auto pkt = parse_packet_view(prefix);
     if (!pkt) continue;
     // Header parsed but the ciphertext is truncated: AEAD must reject.
-    EXPECT_FALSE(open_packet(aead, *pkt).has_value()) << "cut " << cut;
+    EXPECT_FALSE(open_packet_in_place(aead, *pkt).has_value())
+        << "cut " << cut;
   }
 
   for (std::size_t bit = 0; bit < wire.size() * 8; ++bit) {
     std::vector<std::uint8_t> mutated = wire;
     mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    const auto pkt = parse_packet(mutated);
+    const auto pkt = parse_packet_view(mutated);
     if (!pkt) continue;  // header flip made it unparseable: fine
-    EXPECT_FALSE(open_packet(aead, *pkt).has_value())
+    EXPECT_FALSE(open_packet_in_place(aead, *pkt).has_value())
         << "bit " << bit << " must break the AEAD tag";
   }
 }
