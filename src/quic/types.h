@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 namespace xlink::quic {
 
@@ -18,19 +17,12 @@ using StreamId = std::uint64_t;
 /// on that path (draft-liu-multipath-quic).
 using PathId = std::uint32_t;
 
-/// Byte of every issued CID that carries the issuing server's id (paper §6:
-/// "a real server encodes a server ID in the CID issued to the client" so a
-/// QUIC-LB load balancer can route every path to it; the load balancer
-/// itself is a deployment detail and not reproduced).
-constexpr std::size_t kCidServerIdOffset = 1;
-
 /// 8-byte connection ID with its sequence number.
 struct ConnectionId {
   std::array<std::uint8_t, 8> bytes{};
   std::uint32_t sequence = 0;
 
   bool operator==(const ConnectionId&) const = default;
-  std::string hex() const;
 };
 
 /// Maximum QUIC packet payload we place in one datagram (post-header).
