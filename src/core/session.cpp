@@ -26,7 +26,6 @@ quic::Connection::Config make_scheme_config(Scheme scheme, quic::Role role,
   quic::Connection::Config config;
   config.role = role;
   config.cc = opts.cc;
-  config.aead_key = opts.aead_key;
   config.pacing.enabled = opts.pacing;
   config.params.enable_multipath = is_multipath(scheme);
 

@@ -32,10 +32,9 @@ struct SchemeOptions {
   quic::InsertMode xlink_insert_mode = quic::InsertMode::kPriority;
   /// Which loss-protection mechanisms XLINK runs (FEC ablation arms).
   XlinkRedundancy xlink_redundancy = XlinkRedundancy::kReinject;
-  /// FEC tunables (window size, repair budget, payload cap). `enabled` and
-  /// `protect` are derived from `xlink_redundancy` and the role.
+  /// FEC tunables (window size, repair budget). `enabled` and `protect`
+  /// are derived from `xlink_redundancy` and the role.
   fec::FecConfig fec;
-  std::uint64_t aead_key = 0x5eed;
   /// Token-bucket pacing of data sends (off by default so existing arms
   /// stay byte-identical; the BBR ablation arms switch it on).
   bool pacing = false;

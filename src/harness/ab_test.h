@@ -55,9 +55,6 @@ struct DayMetrics {
   std::uint64_t abr_switches = 0;
   std::uint64_t abr_switch_magnitude = 0;
   int abr_sessions = 0;
-  /// Per-session registries merged in session-index order (bit-identical
-  /// for every job count, like every other field here).
-  telemetry::MetricsRegistry metrics;
 };
 
 /// Draws the network/video conditions of one session (scheme-independent).

@@ -47,7 +47,6 @@ DayMetrics fold_day(const std::vector<SessionResult>& results) {
     dup_sum += r.reinjected_bytes + r.fec_repair_bytes;
     if (!r.download_finished) ++day.unfinished_downloads;
     ++day.sessions;
-    day.metrics.merge(r.metrics);
   }
   day.rebuffer_rate = play_sum > 0 ? rebuffer_sum / play_sum : 0.0;
   day.redundancy_pct =

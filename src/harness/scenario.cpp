@@ -12,6 +12,9 @@ namespace {
 // arrived for this long while a download is outstanding.
 constexpr sim::Duration kCmStallThreshold = sim::millis(600);
 constexpr sim::Duration kCmProbeInterval = sim::millis(100);
+// How often the client samples the player into the QoE conduit that
+// ACK_MP piggybacks to the server (paper §4).
+constexpr sim::Duration kQoePeriod = sim::millis(100);
 }  // namespace
 
 net::PathSpec make_path_spec(net::Wireless tech, trace::LinkTrace down_trace,
@@ -135,18 +138,13 @@ Session::Session(SessionConfig config) : config_(std::move(config)) {
     player_->set_trace(trace_.get());
     media_client_->set_player(player_.get());
     qoe_capture_ = std::make_unique<video::QoeCapture>(loop_, *player_,
-                                                       config_.qoe_period);
+                                                       kQoePeriod);
     client_conn_->set_qoe_provider(
         [this]() { return qoe_capture_->latest(); });
     // The hybrid ABR controller reads the same (staleness-included)
     // conduit the scheduler's feedback loop does, not the live player.
     media_client_->set_qoe_source(
         [this]() { return qoe_capture_->latest(); });
-    if (config_.standalone_qoe_feedback) {
-      qoe_sender_ = std::make_unique<core::QoeFeedbackSender>(
-          *client_conn_, [this]() { return qoe_capture_->latest(); },
-          core::QoeFeedbackSender::Config{});
-    }
   }
 
   client_conn_->on_established = [this] {
@@ -282,8 +280,6 @@ SessionResult Session::run() {
         network_->path(i).down_stats().peak_queued_bytes);
   }
 
-  fill_metrics(result);
-
   if (trace_ && !config_.trace.qlog_path.empty()) {
     telemetry::QlogMeta meta;
     meta.title = "xlink trace";
@@ -293,62 +289,6 @@ SessionResult Session::run() {
     telemetry::write_qlog_file(config_.trace.qlog_path, *trace_, meta);
   }
   return result;
-}
-
-void Session::fill_metrics(SessionResult& result) const {
-  telemetry::MetricsRegistry& m = result.metrics;
-  const auto& server = server_conn_->stats();
-  const auto& client = client_conn_->stats();
-
-  m.add_counter("quic.server.packets_sent", server.packets_sent);
-  m.add_counter("quic.server.packets_lost", server.packets_lost);
-  m.add_counter("quic.server.ptos", server.ptos);
-  m.add_counter("quic.server.bytes_sent", server.bytes_sent);
-  m.add_counter("quic.server.stream_bytes_sent", server.stream_bytes_sent);
-  m.add_counter("quic.server.reinjected_bytes", server.reinjected_bytes);
-  m.add_counter("quic.server.retransmitted_bytes",
-                server.retransmitted_bytes);
-  m.add_counter("quic.client.packets_received", client.packets_received);
-  m.add_counter("quic.client.acks_sent", client.acks_sent);
-  if (server.fec_repair_packets_sent > 0 || client.fec_erased_seen > 0) {
-    m.add_counter("fec.server.repair_packets", server.fec_repair_packets_sent);
-    m.add_counter("fec.server.repair_bytes", server.fec_repair_bytes_sent);
-    m.add_counter("fec.server.windows_protected",
-                  server.fec_windows_protected);
-    m.add_counter("fec.client.recovered_packets", client.fec_recovered_packets);
-    m.add_counter("fec.client.wasted_symbols", client.fec_wasted_symbols);
-    m.add_counter("fec.client.erased_seen", client.fec_erased_seen);
-  }
-
-  m.add_counter("session.count", 1);
-  m.add_counter("session.chunks_total", result.chunks_total);
-  m.add_counter("session.chunks_completed", result.chunks_completed);
-  m.add_counter("session.rebuffers", result.rebuffer_count);
-  m.add_counter("session.downloads_finished",
-                result.download_finished ? 1 : 0);
-  m.add_counter("session.videos_finished", result.video_finished ? 1 : 0);
-
-  for (double rct : result.chunk_rct_seconds)
-    m.observe("session.chunk_rct_seconds", rct);
-  if (result.first_frame_seconds)
-    m.observe("session.first_frame_seconds", *result.first_frame_seconds);
-  if (result.startup_delay_seconds)
-    m.observe("session.startup_delay_seconds", *result.startup_delay_seconds);
-  if (result.play_seconds > 0.0)
-    m.observe("session.rebuffer_rate", result.rebuffer_rate);
-
-  if (result.abr_enabled) {
-    m.add_counter("session.abr.decisions", result.abr_decisions);
-    m.add_counter("session.abr.switches", result.abr_switches);
-    m.add_counter("session.abr.switch_magnitude",
-                  result.abr_switch_magnitude);
-    m.observe("session.abr_bitrate_utility", result.abr_bitrate_utility);
-  }
-
-  if (trace_) {
-    m.add_counter("telemetry.events_recorded", trace_->recorded());
-    m.add_counter("telemetry.events_dropped", trace_->dropped());
-  }
 }
 
 }  // namespace xlink::harness

@@ -11,13 +11,11 @@
 #include <string>
 #include <vector>
 
-#include "core/qoe_feedback.h"
 #include "core/session.h"
 #include "harness/endpoint.h"
 #include "http/media_client.h"
 #include "http/media_server.h"
 #include "net/network.h"
-#include "telemetry/metrics.h"
 #include "telemetry/trace_sink.h"
 #include "video/player.h"
 #include "video/qoe_capture.h"
@@ -48,11 +46,6 @@ struct SessionConfig {
   video::VideoSpec video;
   http::MediaClient::Config client;
   http::MediaServer::Config server;
-  sim::Duration qoe_period = sim::millis(100);
-  /// Also send standalone QOE_CONTROL_SIGNALS frames decoupled from acks
-  /// (the multipath draft's mechanism; the deployed paper system relied on
-  /// ACK_MP piggybacking alone).
-  bool standalone_qoe_feedback = false;
   sim::Duration time_limit = sim::seconds(120);
   /// Reorder candidate paths by the wireless-aware primary rank (§5.3).
   bool wireless_aware_primary = true;
@@ -112,11 +105,6 @@ struct SessionResult {
   /// Per network path: droptail high-water mark of the downlink queue --
   /// the congestion a paced sender avoids building (CC ablation bench).
   std::vector<std::uint64_t> path_peak_queue_bytes;
-  /// Structured per-session metrics (counters/gauges/histograms); derived
-  /// purely from the fields above plus connection stats, so it is
-  /// deterministic for a fixed seed. Day-level aggregation merges these in
-  /// session-index order (see harness/parallel.h).
-  telemetry::MetricsRegistry metrics;
 };
 
 class Session {
@@ -152,7 +140,6 @@ class Session {
   void cm_probe();
   void sample_tick();
   bool finished() const;
-  void fill_metrics(SessionResult& result) const;
 
   SessionConfig config_;
   sim::EventLoop loop_;
@@ -170,7 +157,6 @@ class Session {
   std::unique_ptr<http::MediaClient> media_client_;
   std::unique_ptr<video::VideoPlayer> player_;
   std::unique_ptr<video::QoeCapture> qoe_capture_;
-  std::unique_ptr<core::QoeFeedbackSender> qoe_sender_;
 
   std::size_t paths_opened_ = 1;
   // CM policy state.

@@ -3,6 +3,7 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -11,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -124,20 +126,6 @@ core::XlinkRedundancy redundancy_from_key(const std::string& key) {
   fail("unknown redundancy key '" + key + "'");
 }
 
-std::string fec_scheme_key(fec::FecConfig::SchemeKind s) {
-  switch (s) {
-    case fec::FecConfig::SchemeKind::kXor: return "xor";
-    case fec::FecConfig::SchemeKind::kReedSolomon: return "reed_solomon";
-  }
-  fail("unknown fec scheme enum value");
-}
-
-fec::FecConfig::SchemeKind fec_scheme_from_key(const std::string& key) {
-  if (key == "xor") return fec::FecConfig::SchemeKind::kXor;
-  if (key == "reed_solomon") return fec::FecConfig::SchemeKind::kReedSolomon;
-  fail("unknown fec scheme key '" + key + "'");
-}
-
 std::string insert_mode_key(quic::InsertMode m) {
   switch (m) {
     case quic::InsertMode::kAppend: return "append";
@@ -158,7 +146,7 @@ quic::InsertMode insert_mode_from_key(const std::string& key) {
 //
 // Unsigned 64-bit values are written as decimal strings: JsonValue stores
 // numbers as double, which would silently round anything above 2^53
-// (seeds and AEAD keys legitimately use all 64 bits). Doubles go through
+// (seeds legitimately use all 64 bits). Doubles go through
 // the hex-float codec. Small ints stay plain JSON numbers.
 
 void kv_u64(JsonWriter& w, const char* k, std::uint64_t v) {
@@ -166,12 +154,18 @@ void kv_u64(JsonWriter& w, const char* k, std::uint64_t v) {
 }
 
 std::uint64_t u64_from(const JsonValue& v, const std::string& what) {
-  if (v.is_number()) return static_cast<std::uint64_t>(v.number);
+  if (v.is_number()) {
+    if (const auto n = v.as_u64()) return *n;
+    fail("field '" + what + "' not a u64: " + std::to_string(v.number));
+  }
   if (!v.is_string()) fail("field '" + what + "' not a u64");
+  // strtoull accepts a sign and wraps "-1" to 2^64 - 1: digits only.
+  if (v.str.empty() || !std::isdigit(static_cast<unsigned char>(v.str[0])))
+    fail("field '" + what + "' not a u64: '" + v.str + "'");
   errno = 0;
   char* end = nullptr;
   const unsigned long long parsed = std::strtoull(v.str.c_str(), &end, 10);
-  if (end == v.str.c_str() || *end != '\0' || errno == ERANGE)
+  if (*end != '\0' || errno == ERANGE)
     fail("field '" + what + "' not a u64: '" + v.str + "'");
   return static_cast<std::uint64_t>(parsed);
 }
@@ -214,7 +208,11 @@ bool parse_bool(const JsonValue& obj, const char* k) {
 int parse_int(const JsonValue& obj, const char* k) {
   const JsonValue* v = obj.get(k);
   if (!v || !v->is_number()) fail(std::string("missing int '") + k + "'");
-  return static_cast<int>(v->number);
+  const auto n = v->as_u64();
+  if (!n || *n > static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
+    fail(std::string("field '") + k + "' not a non-negative int: " +
+         std::to_string(v->number));
+  return static_cast<int>(*n);
 }
 
 const JsonValue& parse_obj(const JsonValue& obj, const char* k) {
@@ -240,14 +238,10 @@ void write_options(JsonWriter& w, const core::SchemeOptions& o) {
   w.kv("ack_policy", ack_policy_key(o.xlink_ack_policy));
   w.kv("insert_mode", insert_mode_key(o.xlink_insert_mode));
   w.kv("redundancy", redundancy_key(o.xlink_redundancy));
-  w.kv("fec_scheme", fec_scheme_key(o.fec.scheme));
   kv_u64(w, "fec_window", o.fec.window);
   kv_u64(w, "fec_min_repairs", o.fec.min_repairs);
   kv_u64(w, "fec_max_repairs", o.fec.max_repairs);
   kv_double(w, "fec_loss_multiplier", o.fec.loss_multiplier);
-  kv_u64(w, "fec_payload_cap", o.fec.payload_cap);
-  kv_u64(w, "fec_cover_linger_us", o.fec.cover_linger);
-  kv_u64(w, "aead_key", o.aead_key);
   w.kv("pacing", o.pacing);
   w.end_object();
 }
@@ -261,14 +255,10 @@ core::SchemeOptions parse_options(const JsonValue& v) {
   o.xlink_ack_policy = ack_policy_from_key(parse_str(v, "ack_policy"));
   o.xlink_insert_mode = insert_mode_from_key(parse_str(v, "insert_mode"));
   o.xlink_redundancy = redundancy_from_key(parse_str(v, "redundancy"));
-  o.fec.scheme = fec_scheme_from_key(parse_str(v, "fec_scheme"));
   o.fec.window = parse_u64(v, "fec_window");
   o.fec.min_repairs = parse_u64(v, "fec_min_repairs");
   o.fec.max_repairs = parse_u64(v, "fec_max_repairs");
   o.fec.loss_multiplier = parse_double(v, "fec_loss_multiplier");
-  o.fec.payload_cap = parse_u64(v, "fec_payload_cap");
-  o.fec.cover_linger = parse_u64(v, "fec_cover_linger_us");
-  o.aead_key = parse_u64(v, "aead_key");
   o.pacing = parse_bool(v, "pacing");
   return o;
 }
@@ -360,54 +350,6 @@ stats::Summary parse_samples(const JsonValue& arr) {
   return s;
 }
 
-void write_registry(JsonWriter& w, const telemetry::MetricsRegistry& m) {
-  w.begin_object();
-  w.key("counters");
-  w.begin_object();
-  for (const auto& [name, v] : m.counters()) kv_u64(w, name.c_str(), v);
-  w.end_object();
-  w.key("gauges");
-  w.begin_object();
-  for (const auto& [name, v] : m.gauges()) kv_double(w, name.c_str(), v);
-  w.end_object();
-  w.key("histograms");
-  w.begin_object();
-  for (const auto& [name, h] : m.histograms()) {
-    w.key(name);
-    w.begin_object();
-    kv_u64(w, "count", h.count);
-    kv_double(w, "sum", h.sum);
-    kv_double(w, "min", h.min);
-    kv_double(w, "max", h.max);
-    w.key("buckets");
-    w.begin_object();
-    for (const auto& [idx, n] : h.buckets) kv_u64(w, std::to_string(idx).c_str(), n);
-    w.end_object();
-    w.end_object();
-  }
-  w.end_object();
-  w.end_object();
-}
-
-telemetry::MetricsRegistry parse_registry(const JsonValue& v) {
-  telemetry::MetricsRegistry m;
-  for (const auto& [name, val] : parse_obj(v, "counters").object)
-    m.add_counter(name, u64_from(val, name));
-  for (const auto& [name, val] : parse_obj(v, "gauges").object)
-    m.set_gauge(name, double_from(val, name));
-  for (const auto& [name, hv] : parse_obj(v, "histograms").object) {
-    telemetry::Histogram h;
-    h.count = parse_u64(hv, "count");
-    h.sum = parse_double(hv, "sum");
-    h.min = parse_double(hv, "min");
-    h.max = parse_double(hv, "max");
-    for (const auto& [idx, n] : parse_obj(hv, "buckets").object)
-      h.buckets[std::atoi(idx.c_str())] = u64_from(n, idx);
-    m.restore_histogram(name, std::move(h));
-  }
-  return m;
-}
-
 void write_day_metrics(JsonWriter& w, const DayMetrics& d) {
   w.begin_object();
   w.key("rct");
@@ -426,8 +368,6 @@ void write_day_metrics(JsonWriter& w, const DayMetrics& d) {
   kv_u64(w, "abr_switches", d.abr_switches);
   kv_u64(w, "abr_switch_magnitude", d.abr_switch_magnitude);
   w.kv("abr_sessions", d.abr_sessions);
-  w.key("metrics");
-  write_registry(w, d.metrics);
   w.end_object();
 }
 
@@ -445,7 +385,6 @@ DayMetrics parse_day_metrics(const JsonValue& v) {
   d.abr_switches = parse_u64(v, "abr_switches");
   d.abr_switch_magnitude = parse_u64(v, "abr_switch_magnitude");
   d.abr_sessions = parse_int(v, "abr_sessions");
-  d.metrics = parse_registry(parse_obj(v, "metrics"));
   return d;
 }
 

@@ -472,9 +472,7 @@ bool Connection::send_one_packet(PathId path_id, bool ignore_cwnd) {
   // repair symbol (sealed wire + length prefix + REPAIR header) still fits
   // one packet payload.
   const std::size_t max_payload =
-      fec_framer_ ? std::min<std::size_t>(kMaxPacketPayload,
-                                          config_.fec.payload_cap)
-                  : kMaxPacketPayload;
+      fec_framer_ ? fec::kPayloadCap : kMaxPacketPayload;
   const std::size_t budget =
       ignore_cwnd ? max_payload
                   : std::min<std::size_t>(max_payload,

@@ -153,11 +153,17 @@ const JsonValue* JsonValue::get(const std::string& k) const {
   return it == object.end() ? nullptr : &it->second;
 }
 
+std::optional<std::uint64_t> JsonValue::as_u64() const {
+  if (kind != Kind::kNumber || !(number >= 0.0 && number < 0x1p64) ||
+      number != std::floor(number))
+    return std::nullopt;
+  return static_cast<std::uint64_t>(number);
+}
+
 std::uint64_t JsonValue::get_u64(const std::string& k,
                                  std::uint64_t def) const {
   const JsonValue* v = get(k);
-  if (!v || v->kind != Kind::kNumber || v->number < 0) return def;
-  return static_cast<std::uint64_t>(v->number);
+  return v ? v->as_u64().value_or(def) : def;
 }
 
 double JsonValue::get_num(const std::string& k, double def) const {

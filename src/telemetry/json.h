@@ -90,9 +90,14 @@ struct JsonValue {
   bool is_number() const { return kind == Kind::kNumber; }
   bool is_string() const { return kind == Kind::kString; }
 
+  /// The number as a uint64; nullopt unless it is a whole number in
+  /// [0, 2^64). The parser's strtod yields inf, negatives and fractions,
+  /// which a plain integer cast turns into UB or silent truncation.
+  std::optional<std::uint64_t> as_u64() const;
+
   /// Object member access; returns nullptr when absent or not an object.
   const JsonValue* get(const std::string& k) const;
-  /// Member as uint64 (default when absent/mistyped).
+  /// Member as uint64 (default when absent, mistyped or out of range).
   std::uint64_t get_u64(const std::string& k, std::uint64_t def = 0) const;
   double get_num(const std::string& k, double def = 0.0) const;
   std::string get_str(const std::string& k, const std::string& def = "") const;

@@ -175,7 +175,7 @@ TEST(AbrSession, RunsAndReportsDecisions) {
   EXPECT_EQ(r.abr_decisions, 6u);
   EXPECT_GT(r.abr_bitrate_utility, 0.0);
   EXPECT_LE(r.abr_bitrate_utility, 1.0);
-  EXPECT_EQ(r.metrics.counter("session.abr.decisions"), r.abr_decisions);
+  EXPECT_EQ(session.media_client().abr_summary().decisions, r.abr_decisions);
 }
 
 TEST(AbrSession, DeterministicAcrossRuns) {
