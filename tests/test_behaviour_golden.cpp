@@ -14,8 +14,9 @@
 // The cases cover the path lifecycle end to end: primary blackout with
 // failover / probe backoff / resurrection (and the same blackout with
 // path health off), uplink-only drop, NAT rebind, the CM scheme stalling
-// into migrate_to_path, MPTCP-like (TCP-style RTO) and SP under loss, a
-// lossy FEC + re-injection session, and a scripted WirePair run of
+// into migrate_to_path, MPTCP-like (TCP-style RTO), SP, Redundant and
+// ReinjectNoQoe (append-order re-injection) under loss, a lossy FEC +
+// re-injection session, and a scripted WirePair run of
 // PATH_STATUS standby / available / abandon.
 #include <gtest/gtest.h>
 
@@ -580,6 +581,91 @@ g.close_resends=0 g.peak_open_recv_streams=6 g.peak_stream_gaps=1
 path0=1/0/0/0 trace.recorded=4670 trace.dropped=0 s1.0=1@0 s0.0=1@15017
 h0.0=1@553451 h0.0=0@2362022 h1.0=1@2698000 h1.0=0@2729000
 trace.digest=3333834388626169905
+)");
+}
+
+// Redundant and ReinjectNoQoe queue their duplicates with
+// InsertMode::kAppend, which no other case reaches.
+TEST(BehaviourGolden, RedundantUnderLoss) {
+  EXPECT_EQ(session_fingerprint(
+                lossy_config(core::Scheme::kRedundant, 4, 0.02)),
+            R"(
+chunks_total=6 chunks_completed=6 first_frame_seconds=0.196
+startup_delay_seconds=0.196 rebuffer_rate=0 rebuffer_seconds=0
+play_seconds=3.99996 rebuffer_count=0 video_finished=1 download_finished=1
+download_seconds=3.6 server_wire_bytes=1172161 stream_payload_bytes=1093285
+reinjected_bytes=1273 retransmitted_bytes=47894 packets_lost=22
+redundancy_ratio=0.001164380742441358 fec_repair_bytes=0
+fec_repair_packets=0 fec_windows_protected=0 fec_recovered_packets=0
+fec_wasted_symbols=0 fec_erased_seen=0 abr_enabled=0 abr_decisions=0
+abr_switches=0 abr_switch_magnitude=0 abr_bitrate_utility=0
+path_down_bytes=[ 563201 569368 ] path_peak_queue_bytes=[ 28435 19880 ]
+chunk_rct_seconds=[ 0.282 0.469 0.754 2.032 2.202 1.068 ] events_fired=3390
+client: packets_sent=483 packets_received=917 packets_lost=0 ptos=3
+bytes_sent=27220 bytes_received=1132569 stream_bytes_sent=140
+retransmitted_bytes=0 reinjected_bytes=73 auth_failures=0 acks_sent=474
+failovers=1 path_resurrections=1 dead_path_probes=1
+fec_repair_packets_sent=0 fec_repair_bytes_sent=0 fec_windows_protected=0
+fec_recovered_packets=0 fec_wasted_symbols=0 fec_erased_seen=0
+g.violations=0 g.replayed_packets=0 g.ack_frames=14 g.repair_frames=0
+g.amplification_blocked=0 g.gap_collapses=0 g.phantom_bytes=0
+g.close_resends=0 g.peak_open_recv_streams=6 g.peak_stream_gaps=5
+path0=1/0/2/2 path1=1/0/0/0 server: packets_sent=949 packets_received=474
+packets_lost=22 ptos=3 bytes_sent=1172161 bytes_received=26708
+stream_bytes_sent=1093285 retransmitted_bytes=47894 reinjected_bytes=1273
+auth_failures=0 acks_sent=14 failovers=1 path_resurrections=1
+dead_path_probes=2 fec_repair_packets_sent=0 fec_repair_bytes_sent=0
+fec_windows_protected=0 fec_recovered_packets=0 fec_wasted_symbols=0
+fec_erased_seen=0 g.violations=0 g.replayed_packets=0 g.ack_frames=465
+g.repair_frames=0 g.amplification_blocked=0 g.gap_collapses=0
+g.phantom_bytes=0 g.close_resends=0 g.peak_open_recv_streams=6
+g.peak_stream_gaps=1 path0=1/0/2/2 path1=1/0/0/0 trace.recorded=5291
+trace.dropped=0 s1.0=1@0 s0.0=1@15017 s1.1=0@31000 s0.1=0@76012
+s1.1=1@122000 s0.1=1@167020 h0.0=1@567107 h1.0=1@607000 h1.0=2@867000
+h0.0=2@909617 s0.0=2@912012 s1.0=2@956000 h1.0=0@1651000 s0.0=1@1696012
+h0.0=0@2335024 s1.0=1@2351000 trace.digest=2547420550678389579
+)");
+}
+
+TEST(BehaviourGolden, ReinjectNoQoeUnderLoss) {
+  EXPECT_EQ(session_fingerprint(
+                lossy_config(core::Scheme::kReinjectNoQoe, 5, 0.02)),
+            R"(
+chunks_total=6 chunks_completed=6 first_frame_seconds=0.298
+startup_delay_seconds=0.298 rebuffer_rate=0.05475554755547555
+rebuffer_seconds=0.21902 play_seconds=3.99996 rebuffer_count=4
+video_finished=1 download_finished=1 download_seconds=3.85
+server_wire_bytes=1179603 stream_payload_bytes=1098567 reinjected_bytes=8772
+retransmitted_bytes=42413 packets_lost=22
+redundancy_ratio=0.007984947663638177 fec_repair_bytes=0
+fec_repair_packets=0 fec_windows_protected=0 fec_recovered_packets=0
+fec_wasted_symbols=0 fec_erased_seen=0 abr_enabled=0 abr_decisions=0
+abr_switches=0 abr_switch_magnitude=0 abr_bitrate_utility=0
+path_down_bytes=[ 618518 529158 ] path_peak_queue_bytes=[ 17040 14072 ]
+chunk_rct_seconds=[ 0.286 1.018 2.111 2.022 1.151 0.779 ] events_fired=3536
+client: packets_sent=489 packets_received=923 packets_lost=0 ptos=3
+bytes_sent=28328 bytes_received=1147676 stream_bytes_sent=140
+retransmitted_bytes=0 reinjected_bytes=73 auth_failures=0 acks_sent=481
+failovers=1 path_resurrections=0 dead_path_probes=0
+fec_repair_packets_sent=0 fec_repair_bytes_sent=0 fec_windows_protected=0
+fec_recovered_packets=0 fec_wasted_symbols=0 fec_erased_seen=0
+g.violations=0 g.replayed_packets=0 g.ack_frames=12 g.repair_frames=0
+g.amplification_blocked=0 g.gap_collapses=0 g.phantom_bytes=0
+g.close_resends=0 g.peak_open_recv_streams=6 g.peak_stream_gaps=4
+path0=1/0/0/2 path1=1/2/1/0 server: packets_sent=953 packets_received=478
+packets_lost=22 ptos=3 bytes_sent=1179603 bytes_received=27641
+stream_bytes_sent=1098567 retransmitted_bytes=42413 reinjected_bytes=8772
+auth_failures=0 acks_sent=12 failovers=1 path_resurrections=1
+dead_path_probes=2 fec_repair_packets_sent=0 fec_repair_bytes_sent=0
+fec_windows_protected=0 fec_recovered_packets=0 fec_wasted_symbols=0
+fec_erased_seen=0 g.violations=0 g.replayed_packets=0 g.ack_frames=470
+g.repair_frames=0 g.amplification_blocked=0 g.gap_collapses=0
+g.phantom_bytes=0 g.close_resends=0 g.peak_open_recv_streams=6
+g.peak_stream_gaps=1 path0=1/0/2/0 path1=2/0/0/1 trace.recorded=5418
+trace.dropped=0 s1.0=1@0 s0.0=1@15017 s1.1=0@31000 s0.1=0@76012
+s1.1=1@122000 s0.1=1@167020 h0.0=1@562678 h0.0=2@914614 s1.0=2@960000
+h0.0=0@2378024 s1.0=1@2394000 h1.1=1@3266026 h1.1=2@3851104 s0.1=2@3866116
+trace.digest=1109279360247836302
 )");
 }
 
