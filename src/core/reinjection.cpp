@@ -9,13 +9,9 @@
 namespace xlink::core {
 namespace {
 
-std::pair<int, int> item_class(const quic::SendItem& it) {
-  return {it.frame_priority, it.stream_priority};
-}
-
-std::pair<int, int> record_class(const quic::SentRecord& rec) {
-  std::pair<int, int> best{INT_MIN, INT_MIN};
-  for (const auto& it : rec.items) best = std::max(best, item_class(it));
+quic::ItemClass record_class(const quic::SentRecord& rec) {
+  quic::ItemClass best{INT_MIN, INT_MIN};
+  for (const auto& it : rec.items) best = std::max(best, quic::item_class(it));
   return best;
 }
 
@@ -36,12 +32,7 @@ void ReinjectionEngine::run(quic::Connection& conn) {
 
   // Highest priority class still waiting for FIRST transmission; re-injected
   // duplicates queued earlier do not hold back further re-injection.
-  std::optional<std::pair<int, int>> frontier;
-  for (const auto& item : conn.send_queue()) {
-    if (item.is_reinjection) continue;
-    const auto c = item_class(item);
-    if (!frontier || c > *frontier) frontier = c;
-  }
+  const auto frontier = conn.send_queue().first_transmission_frontier();
 
   // Duplicates travel "into the fast path" (Fig. 3): only packets NOT on
   // the current fastest path are candidates -- the fast path's own packets
@@ -86,8 +77,6 @@ void ReinjectionEngine::run(quic::Connection& conn) {
       if (conn.fec_covers(id, pn)) continue;
       const std::uint64_t bytes = conn.reinject_record(rec, mode_);
       if (bytes > 0) {
-        ++stats_.records_reinjected;
-        stats_.bytes_reinjected += bytes;
         XLINK_TRACE(conn.trace(),
                     telemetry::Event::reinjection(
                         now, conn.trace_origin(),

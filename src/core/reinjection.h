@@ -16,11 +16,6 @@
 
 namespace xlink::core {
 
-struct ReinjectionStats {
-  std::uint64_t records_reinjected = 0;
-  std::uint64_t bytes_reinjected = 0;
-};
-
 class ReinjectionEngine {
  public:
   explicit ReinjectionEngine(quic::InsertMode mode) : mode_(mode) {}
@@ -29,11 +24,8 @@ class ReinjectionEngine {
   /// re-injection is currently allowed (the QoE controller's decision).
   void run(quic::Connection& conn);
 
-  const ReinjectionStats& stats() const { return stats_; }
-
  private:
   quic::InsertMode mode_;
-  ReinjectionStats stats_;
 };
 
 /// Eq. 1: max over paths with unacked packets of RTT + RTT variation.

@@ -109,10 +109,6 @@ class MediaClient {
 
   bool abr_enabled() const { return abr_ != nullptr; }
   AbrSummary abr_summary() const;
-  /// Rung chosen for an issued chunk (conformance tests / benches).
-  std::size_t chunk_rung(std::size_t chunk) const {
-    return abr_chunks_[chunk].rung;
-  }
 
  private:
   struct AbrChunk {

@@ -19,11 +19,13 @@ namespace xlink::http {
 
 class MediaServer {
  public:
+  /// Video-frame priority of the first frame's bytes (the rest carry 0).
+  static constexpr int kFirstFramePriority = 1;
+
   struct Config {
     /// Express first-video-frame priority to the transport (Fig. 12's
     /// toggle: off reproduces "XLINK w/o first-frame acceleration").
     bool first_frame_acceleration = true;
-    int first_frame_priority = 1;
   };
 
   MediaServer(quic::Connection& conn, Config config);

@@ -48,9 +48,8 @@ class EcfScheduler final : public quic::Scheduler {
     // them anyway (and risk HoL-blocking the stream).
     const auto& fast = conn.path_state(*fastest);
     const auto& slow = conn.path_state(*fastest_with_room);
-    std::uint64_t queued = 0;
-    for (const auto& item : conn.send_queue()) queued += item.length;
-    const double rate_f = rate_bytes_per_sec(fast);
+    const std::uint64_t queued = conn.send_queue().bytes();
+    const double rate_f = fast.bandwidth_estimate_bytes_per_sec();
     if (rate_f <= 0) return fastest_with_room;
     const double t_drain_fast = static_cast<double>(queued) / rate_f;
     const double handicap =
@@ -64,10 +63,6 @@ class EcfScheduler final : public quic::Scheduler {
   std::string name() const override { return "ecf"; }
 
  private:
-  static double rate_bytes_per_sec(const quic::PathState& p) {
-    return p.bandwidth_estimate_bytes_per_sec();
-  }
-
   static constexpr double kDelta = 0.25;  // hysteresis against flapping
 };
 

@@ -66,7 +66,6 @@ inline std::optional<quic::PathId> pick_for_queue_head(
       return other;
     // No alternative path: returning the origin lets the send loop drop the
     // now-pointless duplicate instead of stalling the queue.
-    return pick_min_rtt(conn, {}, staleness_aware);
   }
   return pick_min_rtt(conn, {}, staleness_aware);
 }

@@ -6,12 +6,6 @@
 namespace xlink::quic {
 namespace {
 
-/// Priority class ordering: frame priority dominates, then stream priority.
-/// Higher class goes earlier in pkt_send_q.
-std::pair<int, int> item_class(const SendItem& it) {
-  return {it.frame_priority, it.stream_priority};
-}
-
 /// Deterministic CID bytes; in a real handshake these are exchanged, here
 /// both endpoints derive the same values so routing agrees by construction.
 ConnectionId derive_cid(Role issuer, std::uint32_t seq) {
@@ -246,34 +240,12 @@ void Connection::stream_send_prioritized(StreamId id,
                                          std::uint64_t size) {
   SendStream& stream = send_streams_.try_emplace(id, id).first->second;
   const std::uint64_t len = data.size();
-  const std::uint64_t offset = stream.write(std::move(data), fin);
-  if (size > 0)
-    stream.set_frame_priority(position, size, frame_priority);
-
-  // Enqueue items split at video-frame priority boundaries so insertion
-  // ordering can act on them independently.
-  auto enqueue = [&](std::uint64_t at, std::uint64_t length, bool last,
-                     int prio) {
-    SendItem item;
-    item.stream_id = id;
-    item.offset = at;
-    item.length = length;
-    item.fin = last;
-    item.stream_priority = stream.priority();
-    item.frame_priority = prio;
-    enqueue_item(item, InsertMode::kPriority);
-  };
-  std::uint64_t cursor = offset;
-  const std::uint64_t end = offset + len;
-  while (cursor < end) {
-    const int prio = stream.frame_priority_at(cursor);
-    std::uint64_t run_end = cursor + 1;
-    while (run_end < end && stream.frame_priority_at(run_end) == prio)
-      ++run_end;
-    enqueue(cursor, run_end - cursor, fin && run_end == end, prio);
-    cursor = run_end;
-  }
-  if (len == 0 && fin) enqueue(offset, 0, true, 0);
+  SendItem proto;
+  proto.stream_id = id;
+  proto.offset = stream.write(std::move(data), fin);
+  proto.fin = fin;
+  proto.stream_priority = stream.priority();
+  send_q_.enqueue_write(proto, len, frame_priority, position, size);
   pump();
 }
 
@@ -291,30 +263,6 @@ void Connection::send_qoe_signal(const QoeSignal& qoe) {
 
 // -------------------------------------------------------------- send queue
 
-void Connection::enqueue_item(SendItem item, InsertMode mode) {
-  switch (mode) {
-    case InsertMode::kAppend:
-      pkt_send_q_.push_back(item);
-      return;
-    case InsertMode::kPriority: {
-      auto it = std::find_if(pkt_send_q_.begin(), pkt_send_q_.end(),
-                             [&](const SendItem& other) {
-                               return item_class(other) < item_class(item);
-                             });
-      pkt_send_q_.insert(it, item);
-      return;
-    }
-    case InsertMode::kFrontOfClass: {
-      auto it = std::find_if(pkt_send_q_.begin(), pkt_send_q_.end(),
-                             [&](const SendItem& other) {
-                               return item_class(other) <= item_class(item);
-                             });
-      pkt_send_q_.insert(it, item);
-      return;
-    }
-  }
-}
-
 std::uint64_t Connection::reinject_record(SentRecord& record,
                                           InsertMode mode) {
   // Eligibility (including re-arming a record whose earlier duplicate did
@@ -324,27 +272,12 @@ std::uint64_t Connection::reinject_record(SentRecord& record,
   std::uint64_t queued = 0;
   for (const SendItem& item : record.items) {
     const auto* stream = send_stream(item.stream_id);
-    if (!stream) continue;
+    // A bare FIN carries no bytes to duplicate.
+    if (!stream || item.length == 0) continue;
     SendItem proto = item;
     proto.is_reinjection = true;
     proto.origin_path = record.path;
-    queued += enqueue_unacked(*stream, proto, mode);
-  }
-  return queued;
-}
-
-std::uint64_t Connection::enqueue_unacked(const SendStream& stream,
-                                          const SendItem& proto,
-                                          InsertMode mode) {
-  const std::uint64_t end = proto.offset + proto.length;
-  std::uint64_t queued = 0;
-  for (const auto& [b, e] : stream.unacked_within(proto.offset, end)) {
-    SendItem dup = proto;
-    dup.offset = b;
-    dup.length = e - b;
-    dup.fin = proto.fin && e == end;
-    enqueue_item(dup, mode);
-    queued += dup.length;
+    queued += send_q_.enqueue_unacked(*stream, proto, mode);
   }
   return queued;
 }
@@ -403,9 +336,9 @@ void Connection::pump() {
   // Stream data, scheduler-driven.
   int guard = 0;
   while (guard++ < 200000) {
-    if (pkt_send_q_.empty() && config_.scheduler)
+    if (send_q_.empty() && config_.scheduler)
       config_.scheduler->maybe_reinject(*this);
-    if (pkt_send_q_.empty()) break;
+    if (send_q_.empty()) break;
 
     std::optional<PathId> path;
     if (config_.scheduler) {
@@ -437,7 +370,7 @@ void Connection::pump() {
   // with nothing left to send while cwnd headroom remains, so packets now
   // in flight were not cwnd-limited -- their acks must neither inflate
   // cwnd nor lower the bandwidth estimate.
-  if (pkt_send_q_.empty() && established_) {
+  if (send_q_.empty() && established_) {
     for (auto& [id, p] : paths_) {
       if (!p->schedulable()) continue;
       // A pacer-deferred path is pacer-limited, not app-limited: its
@@ -486,24 +419,24 @@ bool Connection::send_one_packet(PathId path_id, bool ignore_cwnd) {
   std::vector<SendItem> taken;
   std::size_t used = 0;
 
-  while (!pkt_send_q_.empty()) {
-    SendItem& head = pkt_send_q_.front();
+  while (!send_q_.empty()) {
+    SendItem& head = send_q_.front();
     // A re-injection on its own origin path is a pointless duplicate; drop
     // it (the original stays tracked by loss detection).
     if (head.is_reinjection && head.origin_path &&
         *head.origin_path == path_id) {
-      pkt_send_q_.pop_front();
+      send_q_.pop_front();
       continue;
     }
     auto* stream = send_stream(head.stream_id);
     if (!stream) {
-      pkt_send_q_.pop_front();
+      send_q_.pop_front();
       continue;
     }
     // Skip ranges that were fully acked since queueing (duplicate rescue).
     if (head.length > 0 &&
         stream->range_acked(head.offset, head.offset + head.length)) {
-      pkt_send_q_.pop_front();
+      send_q_.pop_front();
       continue;
     }
     const std::size_t overhead =
@@ -535,7 +468,7 @@ bool Connection::send_one_packet(PathId path_id, bool ignore_cwnd) {
       head.offset += can_take;
       head.length -= can_take;
     } else {
-      pkt_send_q_.pop_front();
+      send_q_.pop_front();
     }
 
     StreamFrame frame;
@@ -630,10 +563,7 @@ bool Connection::build_and_send(PathId path_id, std::vector<Frame>& frames,
     // retransmittable control frames back to the head of this path's
     // control queue; acks, probes and repair symbols regenerate on their
     // own and are simply dropped.
-    for (auto it = items.rbegin(); it != items.rend(); ++it) {
-      if (!it->is_reinjection) it->is_retransmission = true;
-      pkt_send_q_.push_front(std::move(*it));
-    }
+    send_q_.requeue_front(std::move(items));
     auto& ctrl = pending_control_[path_id];
     for (std::size_t i = frames.size(); i-- > (prepended_ack ? 1u : 0u);)
       if (is_retransmittable_control(frames[i]))
@@ -1281,15 +1211,10 @@ void Connection::requeue_record(const SentRecord& record) {
     if (!stream) continue;
     SendItem proto = item;
     proto.is_retransmission = true;
-    if (item.length == 0 && item.fin) {
-      if (!stream->fully_acked())
-        enqueue_item(proto, InsertMode::kFrontOfClass);
-      continue;
-    }
     // A lost re-injection stays a re-injection, with the path it just
     // died on as its origin, so path selection steers it elsewhere.
     if (proto.is_reinjection) proto.origin_path = record.path;
-    enqueue_unacked(*stream, proto, InsertMode::kFrontOfClass);
+    send_q_.enqueue_unacked(*stream, proto, InsertMode::kFrontOfClass);
   }
   // Control frames: path frames stay on their path, the rest go anywhere.
   for (const Frame& f : record.control) {
@@ -1362,7 +1287,7 @@ void Connection::arm_timers() {
     consider(paths_.pto_deadline(*p));
     // Pacer release: data is queued, the window has room, only the token
     // bucket is holding the path back -- wake when credit matures.
-    if (config_.pacing.enabled && !pkt_send_q_.empty() &&
+    if (config_.pacing.enabled && !send_q_.empty() &&
         p->schedulable() && p->cwnd_available() >= kDefaultMss / 2 &&
         !p->pacer.can_send(loop_.now()))
       consider(p->pacer.next_release_time(loop_.now()));

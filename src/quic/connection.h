@@ -15,10 +15,12 @@
 //    path policy (fastest-path vs original-path);
 //  - per-path RTT estimation, RFC 9002-style loss detection and PTO, and
 //    decoupled congestion control (Cubic default);
-//  - a priority-ordered packet send queue (the paper's pkt_send_q) driven
-//    by a pluggable multipath Scheduler, with re-injection support;
+//  - packetization from the priority-ordered send queue (the paper's
+//    pkt_send_q; its order is SendQueue's, send_queue.h) driven by a
+//    pluggable multipath Scheduler, with re-injection support;
 //  - streams with connection- and stream-level flow control, and the
-//    paper's stream_send API for video-frame priority ranges.
+//    paper's stream_send API, whose video-frame priority travels on the
+//    queued items (and from them on each SentRecord), not on the stream.
 #pragma once
 
 #include <cstdint>
@@ -42,6 +44,7 @@
 #include "quic/packet.h"
 #include "quic/path_manager.h"
 #include "quic/scheduler.h"
+#include "quic/send_queue.h"
 #include "quic/stream.h"
 #include "quic/types.h"
 #include "sim/event_loop.h"
@@ -219,7 +222,8 @@ class Connection {
   void stream_send(StreamId id, std::vector<std::uint8_t> data, bool fin);
 
   /// The paper's extended stream_send: marks [position, position+size) of
-  /// this write's data with a video-frame priority.
+  /// this write's data (offsets relative to the write, not the stream)
+  /// with a video-frame priority.
   void stream_send_prioritized(StreamId id, std::vector<std::uint8_t> data,
                                bool fin, int frame_priority,
                                std::uint64_t position, std::uint64_t size);
@@ -253,11 +257,12 @@ class Connection {
   void send_qoe_signal(const QoeSignal& qoe);
 
   // ---- scheduler services --------------------------------------------
-  std::deque<SendItem>& send_queue() { return pkt_send_q_; }
-  const std::deque<SendItem>& send_queue() const { return pkt_send_q_; }
+  const SendQueue& send_queue() const { return send_q_; }
 
   /// Inserts an item into pkt_send_q per the insertion mode.
-  void enqueue_item(SendItem item, InsertMode mode);
+  void enqueue_item(const SendItem& item, InsertMode mode) {
+    send_q_.insert(item, mode);
+  }
 
   /// Duplicates the still-unacked stream ranges of `record` into the send
   /// queue (marked re-injection, carrying origin path) with the given
@@ -350,10 +355,6 @@ class Connection {
   void trace_cc_state(const PathState& p);
   void on_packets_lost(PathState& p, const std::vector<LostPacket>& pns);
   void requeue_record(const SentRecord& record);
-  /// Queues copies of `proto`'s still-unacked subranges, each carrying
-  /// `proto`'s flags; returns the bytes queued.
-  std::uint64_t enqueue_unacked(const SendStream& stream,
-                                const SendItem& proto, InsertMode mode);
   void on_pto(PathState& p);
   void arm_timers();
   void on_timer();
@@ -388,7 +389,7 @@ class Connection {
   std::uint64_t close_resend_threshold_ = 1; // doubles per re-send
 
   PathManager paths_;
-  std::deque<SendItem> pkt_send_q_;
+  SendQueue send_q_;  // the paper's pkt_send_q
   /// Control frames waiting per path (acks excluded; built on demand).
   std::map<PathId, std::deque<Frame>> pending_control_;
 

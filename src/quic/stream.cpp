@@ -11,18 +11,6 @@ std::uint64_t SendStream::write(std::vector<std::uint8_t> data, bool fin) {
   return offset;
 }
 
-void SendStream::set_frame_priority(std::uint64_t position, std::uint64_t size,
-                                    int priority) {
-  frame_priorities_.push_back({position, position + size, priority});
-}
-
-int SendStream::frame_priority_at(std::uint64_t offset) const {
-  int best = 0;
-  for (const auto& r : frame_priorities_)
-    if (offset >= r.begin && offset < r.end) best = std::max(best, r.priority);
-  return best;
-}
-
 std::span<const std::uint8_t> SendStream::view_range(std::uint64_t offset,
                                                      std::size_t len) const {
   if (offset >= buffer_.size()) return {};

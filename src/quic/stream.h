@@ -1,11 +1,12 @@
 // QUIC stream state, send and receive sides.
 //
-// The connection owns the packetization queue (the paper's pkt_send_q);
-// streams own their byte buffers, retransmission source data, ack state and
-// reassembly. XLINK's stream_send API attaches priorities at two levels:
-// per-stream priority (early chunk streams outrank later ones) and
-// per-range "video frame" priority inside a stream (the first video frame
-// of a short video outranks the rest of its stream).
+// The connection's SendQueue (send_queue.h, the paper's pkt_send_q) holds
+// the packetization order; streams own their byte buffers, retransmission
+// source data, ack state and reassembly. XLINK's stream_send API attaches
+// priorities at two levels: per-stream priority (early chunk streams
+// outrank later ones), kept here, and per-range "video frame" priority
+// inside a write (the first video frame outranks the rest of its stream),
+// which travels on the queued SendItems and their SentRecords.
 #pragma once
 
 #include <cstdint>
@@ -19,14 +20,6 @@
 
 namespace xlink::quic {
 
-/// Priority attached to a byte range by the application (higher wins).
-/// Video frame priorities per the paper's stream_send(position, size) API.
-struct FramePriorityRange {
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;  // half-open
-  int priority = 0;
-};
-
 class SendStream {
  public:
   explicit SendStream(StreamId id) : id_(id) {}
@@ -35,14 +28,6 @@ class SendStream {
 
   /// Appends data; returns the offset at which it was placed.
   std::uint64_t write(std::vector<std::uint8_t> data, bool fin);
-
-  /// Marks [position, position+size) with a video-frame priority; the
-  /// paper's stream_send API for first-video-frame acceleration.
-  void set_frame_priority(std::uint64_t position, std::uint64_t size,
-                          int priority);
-
-  /// Video-frame priority of the byte at `offset` (0 = default).
-  int frame_priority_at(std::uint64_t offset) const;
 
   /// Stream-level priority; smaller stream ids default to higher priority
   /// (earlier chunks of a video play first). Higher value wins.
@@ -78,7 +63,6 @@ class SendStream {
   std::vector<std::uint8_t> buffer_;
   bool fin_written_ = false;
   IntervalSet acked_;
-  std::vector<FramePriorityRange> frame_priorities_;
 };
 
 class RecvStream {

@@ -106,19 +106,18 @@ TEST(MediaServer, FirstFramePriorityMarksSendStream) {
   MediaFixture fx;
   MediaServer::Config cfg;
   cfg.first_frame_acceleration = true;
-  cfg.first_frame_priority = 3;
   MediaServer server(*fx.pair->server, cfg);
   server.add_video("v", fx.model);
   ASSERT_TRUE(fx.pair->establish());
   const quic::StreamId id = fx.pair->client->open_stream();
   fx.pair->client->stream_send(
       id, encode_request({"v", 0, fx.model->total_bytes()}), true);
-  fx.pair->run_for(sim::millis(50));
-  auto* send = fx.pair->server->send_stream(id);
-  ASSERT_NE(send, nullptr);
-  EXPECT_EQ(send->frame_priority_at(0), 3);
-  EXPECT_EQ(send->frame_priority_at(fx.model->first_frame_bytes() - 1), 3);
-  EXPECT_EQ(send->frame_priority_at(fx.model->first_frame_bytes()), 0);
+  // The sent records carry the first frame's bytes at the first-frame
+  // priority and the rest of the body at 0.
+  test::expect_sent_frame_priority(*fx.pair, id, 0,
+                                   fx.model->first_frame_bytes(),
+                                   MediaServer::kFirstFramePriority,
+                                   sim::seconds(1));
 }
 
 TEST(MediaClient, DownloadsWholeVideoInChunks) {

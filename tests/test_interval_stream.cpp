@@ -116,18 +116,6 @@ TEST(SendStream, UnackedWithin) {
   ASSERT_EQ(whole.size(), 1u);
 }
 
-TEST(SendStream, FramePriorities) {
-  SendStream s(4);
-  s.write(std::vector<std::uint8_t>(1000, 0), false);
-  s.set_frame_priority(0, 300, 2);
-  s.set_frame_priority(100, 100, 5);  // overlapping: highest wins
-  EXPECT_EQ(s.frame_priority_at(0), 2);
-  EXPECT_EQ(s.frame_priority_at(150), 5);
-  EXPECT_EQ(s.frame_priority_at(299), 2);
-  EXPECT_EQ(s.frame_priority_at(300), 0);
-  EXPECT_EQ(s.frame_priority_at(999), 0);
-}
-
 TEST(SendStream, PrioritySetter) {
   SendStream s(4);
   EXPECT_EQ(s.priority(), 0);

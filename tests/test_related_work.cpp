@@ -125,7 +125,7 @@ TEST(RelatedSchedulers, EcfPrefersFastPathAndCanWait) {
   // Fast path open: picked.
   quic::SendItem item;
   item.length = 1000;
-  server.send_queue().push_back(item);
+  server.enqueue_item(item, quic::InsertMode::kAppend);
   EXPECT_EQ(sched->select_path(server), std::optional<quic::PathId>(0));
   // Fast path full, tiny queue: waiting beats the 800ms path.
   auto& p0 = server.path_state(0);
@@ -146,7 +146,7 @@ TEST(RelatedSchedulers, EcfUsesSlowPathForLargeBacklog) {
   // Large backlog: the slow path's bandwidth is worth it.
   quic::SendItem item;
   item.length = 4 * 1024 * 1024;
-  server.send_queue().push_back(item);
+  server.enqueue_item(item, quic::InsertMode::kAppend);
   EXPECT_EQ(sched->select_path(server), std::optional<quic::PathId>(1));
 }
 
@@ -160,7 +160,7 @@ TEST(RelatedSchedulers, BlestPicksFastPathWhenOpen) {
   }
   quic::SendItem item;
   item.length = 1000;
-  server.send_queue().push_back(item);
+  server.enqueue_item(item, quic::InsertMode::kAppend);
   EXPECT_EQ(sched->select_path(server), std::optional<quic::PathId>(0));
 }
 
@@ -176,7 +176,7 @@ TEST(RelatedSchedulers, BlestSitsOutWhenBlockingPredicted) {
   p0.loss.on_packet_sent(500, 0, p0.cc->cwnd_bytes(), true);
   quic::SendItem item;
   item.length = 1000;
-  server.send_queue().push_back(item);
+  server.enqueue_item(item, quic::InsertMode::kAppend);
   // rtt ratio 100 -> fast path ships 100 windows meanwhile: blocked.
   EXPECT_EQ(sched->select_path(server), std::nullopt);
 }

@@ -133,25 +133,38 @@ TEST(FramePrioritySend, SplitsItemsAtPriorityBoundary) {
   test::WirePair pair(std::move(o));
   ASSERT_TRUE(pair.establish());
 
-  // Withhold sending by leaving no send callback pump... instead inspect
-  // the queue right after the prioritized write.
   auto& server = *pair.server;
   const quic::StreamId id = 4;
   // 10 KB body whose first 3 KB are the "first video frame".
   server.stream_send_prioritized(id, test::pattern_bytes(10 * 1024), true,
                                  /*frame_priority=*/1, /*position=*/0,
                                  /*size=*/3 * 1024);
-  // The queue was drained by pump; check the stream's priority map and the
-  // sent state instead.
-  auto* stream = server.send_stream(id);
-  ASSERT_NE(stream, nullptr);
-  EXPECT_EQ(stream->frame_priority_at(0), 1);
-  EXPECT_EQ(stream->frame_priority_at(3 * 1024 - 1), 1);
-  EXPECT_EQ(stream->frame_priority_at(3 * 1024), 0);
+  test::expect_sent_frame_priority(pair, id, 0, 3 * 1024, 1,
+                                   sim::millis(100));
   pair.run_for(sim::seconds(1));
   auto* recv = pair.client->recv_stream(id);
   ASSERT_NE(recv, nullptr);
   EXPECT_TRUE(recv->fully_received());
+}
+
+// `position` counts from the start of this write, not of the stream: on a
+// stream's second write the priority lands on the second write's bytes.
+TEST(FramePrioritySend, PositionIsRelativeToTheWrite) {
+  test::WirePair::Options o;
+  o.client_config = test::multipath_config();
+  o.server_config = test::multipath_config();
+  o.server_config.scheduler = mpquic::make_min_rtt_scheduler();
+  test::WirePair pair(std::move(o));
+  ASSERT_TRUE(pair.establish());
+
+  auto& server = *pair.server;
+  const quic::StreamId id = 4;
+  server.stream_send(id, test::pattern_bytes(1000), false);
+  server.stream_send_prioritized(id, test::pattern_bytes(2000), true,
+                                 /*frame_priority=*/2, /*position=*/0,
+                                 /*size=*/500);
+  test::expect_sent_frame_priority(pair, id, 1000, 1500, 2,
+                                   sim::millis(100));
 }
 
 }  // namespace

@@ -3,7 +3,12 @@
 // emulation, so tests can isolate protocol behaviour.
 #pragma once
 
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 
 #include "quic/connection.h"
@@ -86,6 +91,41 @@ inline std::vector<std::uint8_t> pattern_bytes(std::size_t n,
   for (std::size_t i = 0; i < n; ++i)
     out[i] = static_cast<std::uint8_t>(seed + i * 131);
   return out;
+}
+
+/// Runs the pair for `duration` in 1 ms steps and checks every range of
+/// server stream `id` in flight at some step (a packet stays in flight for
+/// a round trip, far longer than a step): bytes [begin, end) of the stream
+/// carry video-frame priority `prio` on ranges that do not straddle the
+/// bounds, all other bytes carry 0, and the prioritized ranges span
+/// exactly [begin, end).
+inline void expect_sent_frame_priority(WirePair& pair, quic::StreamId id,
+                                       std::uint64_t begin, std::uint64_t end,
+                                       int prio, sim::Duration duration) {
+  std::uint64_t lo = std::numeric_limits<std::uint64_t>::max();
+  std::uint64_t hi = 0;
+  for (sim::Duration t = 0; t < duration; t += sim::millis(1)) {
+    pair.run_for(sim::millis(1));
+    for (quic::PathId p : pair.server->path_ids()) {
+      for (const auto& [pn, rec] : pair.server->path_state(p).unacked) {
+        for (const quic::SendItem& it : rec.items) {
+          if (it.stream_id != id || it.length == 0) continue;
+          const std::uint64_t it_end = it.offset + it.length;
+          if (it.offset < end && it_end > begin) {
+            EXPECT_GE(it.offset, begin);
+            EXPECT_LE(it_end, end);
+            EXPECT_EQ(it.frame_priority, prio) << "range at " << it.offset;
+            lo = std::min(lo, it.offset);
+            hi = std::max(hi, it_end);
+          } else {
+            EXPECT_EQ(it.frame_priority, 0) << "range at " << it.offset;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(lo, begin);
+  EXPECT_EQ(hi, end);
 }
 
 }  // namespace xlink::test
