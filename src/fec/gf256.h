@@ -46,11 +46,6 @@ inline std::uint8_t gf_inv(std::uint8_t a) {
   return t.exp[255 - t.log[a]];
 }
 
-/// g^power for the Vandermonde generator matrix.
-inline std::uint8_t gf_exp(unsigned power) {
-  return detail::gf_tables().exp[power % 255];
-}
-
 /// dst[i] ^= c * src[i] over the whole span. The row operation behind both
 /// RS encode (accumulate coded symbols) and decode (matrix elimination).
 /// c == 0 is a no-op, c == 1 is a plain XOR; both fast-pathed.

@@ -57,7 +57,6 @@ void HostilePeer::inject_at(quic::PathId path, quic::PacketNumber pn,
 
 void HostilePeer::inject_wire(quic::PathId path,
                               std::span<const std::uint8_t> wire) {
-  ++injected_;
   victim_.on_datagram(path, net::PacketBuffer::copy_of(wire));
 }
 

@@ -56,11 +56,6 @@ class HostilePeer {
   /// Next packet number inject() will use on `path`. Defaults high so
   /// forged packets never collide with an honest peer's number space.
   quic::PacketNumber next_pn(quic::PathId path) const;
-  void set_next_pn(quic::PathId path, quic::PacketNumber pn) {
-    pns_[path] = pn;
-  }
-
-  std::uint64_t packets_injected() const { return injected_; }
 
   /// Decrypts one captured victim datagram (tests feed datagrams recorded
   /// from the victim's send callback) through the receive path's
@@ -79,7 +74,6 @@ class HostilePeer {
   quic::Connection& victim_;
   quic::PacketProtection aead_;
   std::map<quic::PathId, quic::PacketNumber> pns_;
-  std::uint64_t injected_ = 0;
 };
 
 }  // namespace xlink::harness

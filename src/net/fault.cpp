@@ -6,19 +6,6 @@
 
 namespace xlink::net {
 
-const char* fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kBlackout: return "blackout";
-    case FaultKind::kUplinkDrop: return "uplink_drop";
-    case FaultKind::kDownlinkDrop: return "downlink_drop";
-    case FaultKind::kCorrupt: return "corrupt";
-    case FaultKind::kReorder: return "reorder";
-    case FaultKind::kDelaySpike: return "delay_spike";
-    case FaultKind::kNatRebind: return "nat_rebind";
-  }
-  return "?";
-}
-
 sim::Time FaultPlan::last_fault_end() const {
   sim::Time last = 0;
   for (const FaultWindow& w : windows)

@@ -31,8 +31,6 @@ enum class FaultKind : std::uint8_t {
   kNatRebind,      // point event: the path's 4-tuple changed; re-validate
 };
 
-const char* fault_kind_name(FaultKind kind);
-
 /// One timed fault. For kNatRebind only `start` matters; the window kinds
 /// apply within [start, end).
 struct FaultWindow {

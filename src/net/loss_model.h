@@ -49,7 +49,6 @@ class GilbertElliottLoss final : public LossModel {
         loss_bad_(loss_bad) {}
 
   bool should_drop(sim::Time now, sim::Rng& rng) override;
-  bool in_bad_state() const { return bad_; }
 
  private:
   double p_gb_, p_bg_, loss_good_, loss_bad_;

@@ -71,12 +71,6 @@ void PacketBufferPool::release(detail::PacketSlot* slot) noexcept {
   pool.free_head_ = slot;
 }
 
-std::size_t PacketBufferPool::free_slots() const {
-  std::size_t n = 0;
-  for (const detail::PacketSlot* s = free_head_; s; s = s->next_free) ++n;
-  return n;
-}
-
 PacketBuffer::PacketBuffer(std::size_t size)
     : PacketBuffer(PacketBufferPool::local().acquire(size)) {
   slot_->size = static_cast<std::uint32_t>(size);

@@ -78,9 +78,6 @@ class PacketBufferPool {
   const Counters& counters() const { return counters_; }
   void reset_counters() { counters_ = {}; }
 
-  /// Slots currently parked on the free list.
-  std::size_t free_slots() const;
-
  private:
   detail::PacketSlot* free_head_ = nullptr;
   Counters counters_;

@@ -64,7 +64,6 @@ class EmulatedPath {
   const PathSpec& spec() const { return spec_; }
   const LinkStats& up_stats() const { return up_->stats(); }
   const LinkStats& down_stats() const { return down_->stats(); }
-  std::size_t down_queued_bytes() const { return down_->queued_bytes(); }
 
   /// The path's fault injector; nullptr when the spec had no fault plan.
   FaultInjector* faults() { return faults_.get(); }

@@ -50,16 +50,13 @@ Connection::Connection(sim::EventLoop& loop, Config config)
               .ack_policy = config_.ack_policy,
               .health = config_.health.enabled,
               .trace = config_.trace,
-              .origin = trace_origin()}) {
+              .origin = trace_origin()}),
+      streams_(config_.params, config_.budgets) {
   // CID sequence 0 for both directions exists from the start (handshake
   // CIDs); the peer's params arrive later but path 0's CIDs are implicit.
   local_cids_[0] = derive_cid(config_.role, 0);
   peer_cids_[0] = derive_cid(
       config_.role == Role::kClient ? Role::kServer : Role::kClient, 0);
-  local_max_data_ = config_.params.initial_max_data;
-  // Until the peer's params arrive, assume symmetric defaults (the true
-  // values are applied in handle_crypto).
-  peer_max_data_ = config_.params.initial_max_data;
   if (config_.fec.enabled) {
     fec_recovery_ = std::make_unique<fec::RecoveryBuffer>(config_.fec);
     fec_recovery_->set_trace(config_.trace, trace_origin());
@@ -206,27 +203,6 @@ void Connection::issue_connection_ids() {
 
 // ----------------------------------------------------------------- streams
 
-StreamId Connection::open_stream() {
-  const StreamId id = client_bidi_stream(next_stream_++);
-  send_streams_.emplace(id, SendStream(id));
-  return id;
-}
-
-SendStream* Connection::send_stream(StreamId id) {
-  auto it = send_streams_.find(id);
-  return it == send_streams_.end() ? nullptr : &it->second;
-}
-
-RecvStream* Connection::recv_stream(StreamId id) {
-  auto it = recv_streams_.find(id);
-  return it == recv_streams_.end() ? nullptr : &it->second;
-}
-
-const RecvStream* Connection::recv_stream(StreamId id) const {
-  auto it = recv_streams_.find(id);
-  return it == recv_streams_.end() ? nullptr : &it->second;
-}
-
 void Connection::stream_send(StreamId id, std::vector<std::uint8_t> data,
                              bool fin) {
   stream_send_prioritized(id, std::move(data), fin, /*frame_priority=*/0,
@@ -238,7 +214,7 @@ void Connection::stream_send_prioritized(StreamId id,
                                          bool fin, int frame_priority,
                                          std::uint64_t position,
                                          std::uint64_t size) {
-  SendStream& stream = send_streams_.try_emplace(id, id).first->second;
+  SendStream& stream = streams_.send_or_create(id);
   const std::uint64_t len = data.size();
   SendItem proto;
   proto.stream_id = id;
@@ -247,10 +223,6 @@ void Connection::stream_send_prioritized(StreamId id,
   proto.stream_priority = stream.priority();
   send_q_.enqueue_write(proto, len, frame_priority, position, size);
   pump();
-}
-
-void Connection::set_stream_priority(StreamId id, int priority) {
-  send_streams_.try_emplace(id, id).first->second.set_priority(priority);
 }
 
 // --------------------------------------------------------------- QoE frame
@@ -280,10 +252,6 @@ std::uint64_t Connection::reinject_record(SentRecord& record,
     queued += send_q_.enqueue_unacked(*stream, proto, mode);
   }
   return queued;
-}
-
-std::uint64_t Connection::connection_send_window() const {
-  return peer_max_data_ > data_sent_ ? peer_max_data_ - data_sent_ : 0;
 }
 
 // --------------------------------------------------------------- send loop
@@ -443,22 +411,9 @@ bool Connection::send_one_packet(PathId path_id, bool ignore_cwnd) {
         stream_frame_overhead(head.stream_id, head.offset, head.length);
     if (used + overhead + 1 > budget) break;
 
-    std::uint64_t can_take = std::min<std::uint64_t>(
-        head.length, budget - used - overhead);
-    // Flow control applies to first transmissions only (duplicates carry
-    // already-counted offsets).
-    if (!head.is_retransmission && !head.is_reinjection) {
-      can_take = std::min(can_take, connection_send_window());
-      auto limit_it = peer_max_stream_data_.find(head.stream_id);
-      const std::uint64_t stream_limit =
-          limit_it != peer_max_stream_data_.end()
-              ? limit_it->second
-              : (peer_params_ ? peer_params_->initial_max_stream_data
-                              : config_.params.initial_max_stream_data);
-      can_take = std::min(can_take, stream_limit > head.offset
-                                        ? stream_limit - head.offset
-                                        : 0);
-    }
+    const std::uint64_t can_take =
+        std::min<std::uint64_t>({head.length, budget - used - overhead,
+                                 streams_.credit(*stream, head)});
     if (can_take == 0 && !(head.length == 0 && head.fin)) break;
 
     SendItem piece = head;
@@ -488,7 +443,7 @@ bool Connection::send_one_packet(PathId path_id, bool ignore_cwnd) {
       stats_.retransmitted_bytes += piece.length;
     } else {
       stats_.stream_bytes_sent += piece.length;
-      data_sent_ += piece.length;
+      streams_.on_first_transmission(piece.length);
     }
     taken.push_back(std::move(piece));
 
@@ -874,10 +829,9 @@ void Connection::handle_frames(PathId path_id,
       cid.sequence = static_cast<std::uint32_t>(f->sequence);
       peer_cids_[cid.sequence] = cid;
     } else if (const auto* f = std::get_if<MaxDataFrame>(&frame)) {
-      peer_max_data_ = std::max(peer_max_data_, f->maximum);
+      streams_.on_max_data(f->maximum);
     } else if (const auto* f = std::get_if<MaxStreamDataFrame>(&frame)) {
-      auto& limit = peer_max_stream_data_[f->stream_id];
-      limit = std::max(limit, f->maximum);
+      streams_.on_max_stream_data(*f);
     } else if (const auto* f = std::get_if<ConnectionCloseFrame>(&frame)) {
       // Peer-initiated termination: enter draining (RFC 9000 §10.2.2) --
       // nothing is ever sent again, incoming datagrams are dropped.
@@ -891,7 +845,7 @@ void Connection::handle_crypto(const CryptoFrame& f) {
   auto params = parse_transport_params(f.data);
   if (!params || peer_params_) return;  // duplicate handshake data
   peer_params_ = *params;
-  peer_max_data_ = params->initial_max_data;
+  streams_.on_peer_params(*params);
   multipath_enabled_ =
       config_.params.enable_multipath && params->enable_multipath;
 
@@ -921,86 +875,31 @@ void Connection::on_peer_qoe(const QoeSignal& qoe) {
 }
 
 void Connection::handle_stream_frame(const StreamFrame& f) {
-  const std::uint64_t new_high = f.offset + f.data.size();
-  // Only client-initiated bidirectional ids exist in this transport
-  // (open_stream hands out 4n); any other shape is fabricated.
-  if ((f.stream_id & 0x3) != 0) {
-    close_with_error(TransportError::kStreamStateError,
-                     ViolationKind::kStreamIdInvalid, f.stream_id, 0);
+  const StreamTable::Admission admitted = streams_.admit(f);
+  if (!admitted.stream) {
+    close_with_error(admitted.error, admitted.kind, admitted.observed, 0);
     return;
   }
-  if (!recv_streams_.contains(f.stream_id) &&
-      recv_streams_.size() >= config_.budgets.max_open_recv_streams) {
-    close_with_error(TransportError::kStreamLimitError,
-                     ViolationKind::kStreamLimit, recv_streams_.size() + 1,
-                     0);
-    return;
-  }
-  auto it = recv_streams_.find(f.stream_id);
-  if (it == recv_streams_.end()) {
-    it = recv_streams_.emplace(f.stream_id, RecvStream(f.stream_id)).first;
-    it->second.set_max_gaps(config_.budgets.max_recv_gaps_per_stream);
-    guard_.peak_open_recv_streams = std::max<std::uint64_t>(
-        guard_.peak_open_recv_streams, recv_streams_.size());
-  }
-  RecvStream& stream = it->second;
+  RecvStream& stream = *admitted.stream;
+  guard_.peak_open_recv_streams = std::max<std::uint64_t>(
+      guard_.peak_open_recv_streams, streams_.recv_count());
 
   const std::uint64_t before = stream.contiguous_received();
-  const std::uint64_t prev_high =
-      std::max(stream.read_offset(), received_high_[f.stream_id]);
-  // Final-size integrity (RFC 9000 §4.5): the FIN offset may not move and
-  // no data may lie beyond it.
-  if (stream.final_size()) {
-    const std::uint64_t fs = *stream.final_size();
-    if (new_high > fs || (f.fin && new_high != fs)) {
-      close_with_error(TransportError::kFinalSizeError,
-                       ViolationKind::kFinalSizeChanged, new_high, 0);
-      return;
-    }
-  }
-  // Flow control BEFORE the copy: an offset bomb must not be able to
-  // force a giant reassembly-buffer resize.
-  const auto grant_it = local_max_stream_data_.find(f.stream_id);
-  const std::uint64_t stream_grant =
-      grant_it != local_max_stream_data_.end() && grant_it->second > 0
-          ? grant_it->second
-          : config_.params.initial_max_stream_data;
-  if (new_high > stream_grant) {
-    close_with_error(TransportError::kFlowControlError,
-                     ViolationKind::kStreamFlowControl, new_high, 0);
-    return;
-  }
-  if (new_high > prev_high &&
-      data_received_ + (new_high - prev_high) > local_max_data_) {
-    close_with_error(TransportError::kFlowControlError,
-                     ViolationKind::kConnectionFlowControl,
-                     data_received_ + (new_high - prev_high), 0);
-    return;
-  }
-
   const std::uint64_t collapses_before = stream.gap_collapses();
   const std::uint64_t phantom_before = stream.phantom_bytes();
-  stream.on_data(f.offset, f.data, f.fin);
+  streams_.receive(stream, f);
   guard_.gap_collapses += stream.gap_collapses() - collapses_before;
   guard_.phantom_bytes += stream.phantom_bytes() - phantom_before;
   guard_.peak_stream_gaps = std::max<std::uint64_t>(
       guard_.peak_stream_gaps, stream.tracked_intervals());
-  if (new_high > prev_high) {
-    data_received_ += new_high - prev_high;
-    received_high_[f.stream_id] = new_high;
-  }
 
-  const bool finished = stream.fully_received();
+  const StreamId id = f.stream_id;
   if (stream.contiguous_received() > before && on_stream_readable) {
-    const StreamId id = f.stream_id;
     loop_.schedule_in(0, [this, id] {
       if (on_stream_readable) on_stream_readable(id);
     });
   }
-  if (finished && on_stream_data_finished &&
-      !finished_notified_.contains(f.stream_id)) {
-    finished_notified_.insert(f.stream_id);
-    const StreamId id = f.stream_id;
+  if (on_stream_data_finished && streams_.first_finish(stream)) {
     loop_.schedule_in(0, [this, id] {
       if (on_stream_data_finished) on_stream_data_finished(id);
     });
@@ -1330,7 +1229,7 @@ void Connection::on_timer() {
   pump();
 }
 
-// ----------------------------------------------------------- flow control
+// ------------------------------------------------------- control and reads
 
 void Connection::queue_control(PathId path, Frame frame) {
   pending_control_[path].push_back(std::move(frame));
@@ -1338,34 +1237,17 @@ void Connection::queue_control(PathId path, Frame frame) {
 
 std::vector<std::uint8_t> Connection::consume_stream(StreamId id,
                                                      std::size_t max) {
-  auto it = recv_streams_.find(id);
-  if (it == recv_streams_.end()) return {};
-  auto data = it->second.read(max);
-  data_consumed_ += data.size();
-  maybe_send_flow_updates();
-  return data;
-}
-
-void Connection::maybe_send_flow_updates() {
-  // Connection level: extend when half the window is consumed.
-  const std::uint64_t window = config_.params.initial_max_data;
-  if (local_max_data_ - data_consumed_ < window / 2) {
-    local_max_data_ = data_consumed_ + window;
+  RecvStream* stream = streams_.recv(id);
+  if (!stream) return {};
+  auto data = stream->read(max);
+  const StreamTable::Grants grants = streams_.on_read(*stream, data.size());
+  if (grants.max_data)
+    queue_control(paths_.fastest_active_path(), Frame{*grants.max_data});
+  if (grants.max_stream_data)
     queue_control(paths_.fastest_active_path(),
-                  Frame{MaxDataFrame{local_max_data_}});
-  }
-  // Stream level.
-  const std::uint64_t stream_window = config_.params.initial_max_stream_data;
-  for (auto& [id, stream] : recv_streams_) {
-    auto& granted = local_max_stream_data_[id];
-    if (granted == 0) granted = stream_window;
-    if (granted - stream.read_offset() < stream_window / 2) {
-      granted = stream.read_offset() + stream_window;
-      queue_control(paths_.fastest_active_path(),
-                    Frame{MaxStreamDataFrame{id, granted}});
-    }
-  }
+                  Frame{*grants.max_stream_data});
   pump();
+  return data;
 }
 
 }  // namespace xlink::quic

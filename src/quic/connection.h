@@ -21,6 +21,9 @@
 //  - streams with connection- and stream-level flow control, and the
 //    paper's stream_send API, whose video-frame priority travels on the
 //    queued items (and from them on each SentRecord), not on the stream.
+//    The streams and every credit decision about them live in StreamTable
+//    (stream.h); this class asks it before each first transmission and
+//    each STREAM frame, and queues the limits and grants it returns.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +32,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -216,7 +218,7 @@ class Connection {
 
   // ---- streams ------------------------------------------------------
   /// Opens the next client-initiated bidirectional stream.
-  StreamId open_stream();
+  StreamId open_stream() { return streams_.open(); }
 
   /// Writes data (optionally final) to a send stream with default priority.
   void stream_send(StreamId id, std::vector<std::uint8_t> data, bool fin);
@@ -229,11 +231,15 @@ class Connection {
                                std::uint64_t position, std::uint64_t size);
 
   /// Sets the stream-level priority used by priority re-injection.
-  void set_stream_priority(StreamId id, int priority);
+  void set_stream_priority(StreamId id, int priority) {
+    streams_.send_or_create(id).set_priority(priority);
+  }
 
-  SendStream* send_stream(StreamId id);
-  RecvStream* recv_stream(StreamId id);
-  const RecvStream* recv_stream(StreamId id) const;
+  SendStream* send_stream(StreamId id) { return streams_.send(id); }
+  RecvStream* recv_stream(StreamId id) { return streams_.recv(id); }
+  const RecvStream* recv_stream(StreamId id) const {
+    return streams_.recv(id);
+  }
 
   /// Reads up to `max` bytes from a receive stream, updating flow-control
   /// grants (the application-facing read API).
@@ -296,9 +302,6 @@ class Connection {
     return config_.role == Role::kServer ? telemetry::Origin::kServer
                                          : telemetry::Origin::kClient;
   }
-
-  /// Peer's flow-control limit headroom at connection level.
-  std::uint64_t connection_send_window() const;
 
  private:
   friend class InvariantAuditor;  // re-derives private cross-layer state
@@ -368,7 +371,6 @@ class Connection {
   bool apply(std::optional<PathTransition> t);
   void issue_connection_ids();
   void queue_control(PathId path, Frame frame);
-  void maybe_send_flow_updates();
 
   sim::EventLoop& loop_;
   Config config_;
@@ -393,20 +395,7 @@ class Connection {
   /// Control frames waiting per path (acks excluded; built on demand).
   std::map<PathId, std::deque<Frame>> pending_control_;
 
-  std::map<StreamId, SendStream> send_streams_;
-  std::map<StreamId, RecvStream> recv_streams_;
-  StreamId next_stream_ = 0;
-
-  // Flow control: peer's limits on us / our grants to the peer.
-  std::uint64_t peer_max_data_ = 0;
-  std::map<StreamId, std::uint64_t> peer_max_stream_data_;
-  std::uint64_t local_max_data_ = 0;
-  std::uint64_t data_sent_ = 0;       // stream bytes charged to peer_max_data_
-  std::uint64_t data_received_ = 0;   // stream bytes charged to local grant
-  std::uint64_t data_consumed_ = 0;   // stream bytes read by the application
-  std::map<StreamId, std::uint64_t> local_max_stream_data_;
-  std::map<StreamId, std::uint64_t> received_high_;  // per-stream max offset
-  std::set<StreamId> finished_notified_;
+  StreamTable streams_;  // streams and their flow-control credit
 
   // Connection IDs: ours issued to the peer, and the peer's issued to us.
   std::map<std::uint32_t, ConnectionId> local_cids_;

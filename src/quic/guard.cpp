@@ -171,42 +171,43 @@ std::size_t InvariantAuditor::tick(const Connection& conn) {
   // 3. Flow-control monotonicity: limits only grow, consumption never
   //    exceeds receipt, and our own sender honors the peer's limit.
   {
+    const StreamTable& fc = conn.streams_;
     ++ran;
-    const bool monotone = conn.local_max_data_ >= last_local_max_data_ &&
-                          conn.peer_max_data_ >= last_peer_max_data_ &&
-                          conn.data_received_ >= last_data_received_ &&
-                          conn.data_consumed_ >= last_data_consumed_;
+    const bool monotone = fc.local_max_data() >= last_local_max_data_ &&
+                          fc.peer_max_data() >= last_peer_max_data_ &&
+                          fc.data_received() >= last_data_received_ &&
+                          fc.data_consumed() >= last_data_consumed_;
     if (!monotone) {
       AuditFailure f;
       f.check = "flow_control_monotonicity";
       f.detail = "a flow-control counter moved backwards";
       f.expected = last_local_max_data_;
-      f.actual = conn.local_max_data_;
+      f.actual = fc.local_max_data();
       fail(conn, std::move(f));
       return ran;
     }
-    last_local_max_data_ = conn.local_max_data_;
-    last_peer_max_data_ = conn.peer_max_data_;
-    last_data_received_ = conn.data_received_;
-    last_data_consumed_ = conn.data_consumed_;
+    last_local_max_data_ = fc.local_max_data();
+    last_peer_max_data_ = fc.peer_max_data();
+    last_data_received_ = fc.data_received();
+    last_data_consumed_ = fc.data_consumed();
 
     ++ran;
-    if (conn.data_consumed_ > conn.data_received_) {
+    if (fc.data_consumed() > fc.data_received()) {
       AuditFailure f;
       f.check = "flow_control_consumed";
       f.detail = "application consumed more than was ever received";
-      f.expected = conn.data_received_;
-      f.actual = conn.data_consumed_;
+      f.expected = fc.data_received();
+      f.actual = fc.data_consumed();
       fail(conn, std::move(f));
       return ran;
     }
     ++ran;
-    if (conn.data_sent_ > conn.peer_max_data_) {
+    if (fc.data_sent() > fc.peer_max_data()) {
       AuditFailure f;
       f.check = "flow_control_sender";
       f.detail = "first-transmission bytes exceed the peer's MAX_DATA";
-      f.expected = conn.peer_max_data_;
-      f.actual = conn.data_sent_;
+      f.expected = fc.peer_max_data();
+      f.actual = fc.data_sent();
       fail(conn, std::move(f));
       return ran;
     }

@@ -17,14 +17,8 @@ class IntervalSet {
   /// True if [begin, end) is fully covered.
   bool contains(std::uint64_t begin, std::uint64_t end) const;
 
-  /// True if any byte of [begin, end) is covered.
-  bool intersects(std::uint64_t begin, std::uint64_t end) const;
-
   /// Lowest offset >= `from` that is NOT covered.
   std::uint64_t next_gap(std::uint64_t from) const;
-
-  /// Total covered bytes.
-  std::uint64_t covered_bytes() const;
 
   /// Merges adjacent intervals -- smallest separating gap first -- until at
   /// most `max_intervals` remain; each swallowed gap becomes covered.
@@ -70,28 +64,11 @@ inline bool IntervalSet::contains(std::uint64_t begin, std::uint64_t end) const 
   return it->first <= begin && it->second >= end;
 }
 
-inline bool IntervalSet::intersects(std::uint64_t begin,
-                                    std::uint64_t end) const {
-  if (begin >= end) return false;
-  auto it = intervals_.upper_bound(begin);
-  if (it != intervals_.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second > begin) return true;
-  }
-  return it != intervals_.end() && it->first < end;
-}
-
 inline std::uint64_t IntervalSet::next_gap(std::uint64_t from) const {
   auto it = intervals_.upper_bound(from);
   if (it == intervals_.begin()) return from;
   --it;
   return it->second > from ? it->second : from;
-}
-
-inline std::uint64_t IntervalSet::covered_bytes() const {
-  std::uint64_t total = 0;
-  for (const auto& [b, e] : intervals_) total += e - b;
-  return total;
 }
 
 inline std::uint64_t IntervalSet::collapse_to(std::size_t max_intervals) {

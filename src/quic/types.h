@@ -34,9 +34,6 @@ constexpr std::size_t kMaxDatagramSize = 1452;
 /// Client-initiated bidirectional stream ids: 0, 4, 8, ...
 inline constexpr StreamId client_bidi_stream(std::uint64_t n) { return n * 4; }
 
-/// True if a stream id was initiated by the client.
-inline constexpr bool is_client_initiated(StreamId id) { return (id & 1) == 0; }
-
 /// Transport parameters exchanged during the (simplified) handshake.
 struct TransportParams {
   bool enable_multipath = false;

@@ -139,12 +139,6 @@ JsonWriter& JsonWriter::value(std::int64_t v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::null_value() {
-  before_value();
-  os_ << "null";
-  return *this;
-}
-
 // ---------------------------------------------------------------- parser
 
 const JsonValue* JsonValue::get(const std::string& k) const {

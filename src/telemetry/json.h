@@ -50,7 +50,6 @@ class JsonWriter {
   JsonWriter& value(unsigned v) {
     return value(static_cast<std::uint64_t>(v));
   }
-  JsonWriter& null_value();
 
   /// Convenience: key + value in one call.
   template <typename T>

@@ -167,6 +167,40 @@ TEST(HostilePeer, ConnectionFlowControlOverrunClosesConnection) {
   rig.expect_no_leaks();
 }
 
+/// Stream bytes the client's first 100 KB write on its first stream puts
+/// on the wire, after an attacker's MAX_STREAM_DATA{stream, 1} (or, for the
+/// baseline, a PING: equally ack-eliciting) arrives before (`open_first`
+/// false) or after the stream is opened.
+std::uint64_t first_write_bytes(bool forge, bool open_first) {
+  AttackRig rig;
+  Connection& client = *rig.pair->client;
+  auto& attacker = rig.aim(client);
+  const quic::StreamId id = quic::client_bidi_stream(0);
+  if (open_first) EXPECT_EQ(client.open_stream(), id);
+  attacker.inject(0, {forge ? Frame{quic::MaxStreamDataFrame{id, 1}}
+                            : Frame{quic::PingFrame{}}});
+  // A frame naming no send stream allocates none.
+  if (!open_first) EXPECT_EQ(client.send_stream(id), nullptr);
+  if (!open_first) EXPECT_EQ(client.open_stream(), id);
+  const std::uint64_t before = client.stats().stream_bytes_sent;
+  client.stream_send(id, test::pattern_bytes(100 * 1024), true);
+  EXPECT_FALSE(client.is_closed());  // ignored, not a violation
+  const std::uint64_t sent = client.stats().stream_bytes_sent - before;
+  rig.expect_no_leaks();
+  return sent;
+}
+
+TEST(HostilePeer, MaxStreamDataNeverLowersCredit) {
+  // RFC 9000 §19.10: a MAX_STREAM_DATA that does not raise the limit is
+  // ignored, so a forged one leaves the first flight as it was.
+  for (const bool open_first : {true, false}) {
+    SCOPED_TRACE(open_first ? "stream open" : "stream opened after");
+    const std::uint64_t honest = first_write_bytes(false, open_first);
+    EXPECT_GT(honest, 1000u);
+    EXPECT_EQ(first_write_bytes(true, open_first), honest);
+  }
+}
+
 TEST(HostilePeer, MovedFinalSizeClosesConnection) {
   AttackRig rig;
   auto& attacker = rig.aim(*rig.pair->server);

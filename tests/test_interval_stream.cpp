@@ -7,6 +7,12 @@
 namespace xlink::quic {
 namespace {
 
+std::uint64_t covered_bytes(const IntervalSet& s) {
+  std::uint64_t total = 0;
+  for (const auto& [b, e] : s.intervals()) total += e - b;
+  return total;
+}
+
 TEST(IntervalSet, AddAndContains) {
   IntervalSet s;
   EXPECT_TRUE(s.empty());
@@ -15,7 +21,7 @@ TEST(IntervalSet, AddAndContains) {
   EXPECT_TRUE(s.contains(12, 15));
   EXPECT_FALSE(s.contains(9, 11));
   EXPECT_FALSE(s.contains(19, 21));
-  EXPECT_EQ(s.covered_bytes(), 10u);
+  EXPECT_EQ(covered_bytes(s), 10u);
 }
 
 TEST(IntervalSet, MergesAdjacentAndOverlapping) {
@@ -49,22 +55,14 @@ TEST(IntervalSet, NextGap) {
   EXPECT_EQ(s.next_gap(50), 50u);
 }
 
-TEST(IntervalSet, Intersects) {
-  IntervalSet s;
-  s.add(10, 20);
-  EXPECT_TRUE(s.intersects(15, 25));
-  EXPECT_TRUE(s.intersects(5, 11));
-  EXPECT_FALSE(s.intersects(0, 10));   // half-open: touches only
-  EXPECT_FALSE(s.intersects(20, 30));
-  EXPECT_FALSE(s.intersects(30, 30));
-}
-
 TEST(SendStream, WriteReturnsOffsets) {
   SendStream s(4);
   EXPECT_EQ(s.write({1, 2, 3}, false), 0u);
   EXPECT_EQ(s.write({4, 5}, true), 3u);
-  EXPECT_EQ(s.total_written(), 5u);
-  EXPECT_TRUE(s.fin_written());
+  EXPECT_EQ(s.view_range(0, 100).size(), 5u);
+  // The FIN was written: acking every byte completes the stream.
+  s.on_range_acked(0, 5);
+  EXPECT_TRUE(s.fully_acked());
 }
 
 TEST(SendStream, ReadRangeClampsToWritten) {
@@ -89,7 +87,7 @@ TEST(SendStream, AckTrackingAndFullyAcked) {
   EXPECT_FALSE(s.fully_acked());
   s.on_range_acked(50, 100);
   EXPECT_TRUE(s.fully_acked());
-  EXPECT_EQ(s.acked_bytes(), 100u);
+  EXPECT_TRUE(s.unacked_within(0, 100).empty());
 }
 
 TEST(SendStream, EmptyFinOnlyStreamFullyAckedImmediately) {
@@ -141,12 +139,12 @@ TEST(RecvStream, OutOfOrderReassembly) {
   EXPECT_EQ(s.read(100), (std::vector<std::uint8_t>{1, 2, 3, 4, 5, 6}));
 }
 
-TEST(RecvStream, DuplicatesCountedNotDoubled) {
+TEST(RecvStream, DuplicatesNotDoubled) {
   RecvStream s(4);
   s.on_data(0, {1, 2, 3, 4}, false);
   s.on_data(2, {3, 4, 5}, false);  // 2 bytes duplicate, 1 new
-  EXPECT_EQ(s.duplicate_bytes(), 2u);
   EXPECT_EQ(s.contiguous_received(), 5u);
+  EXPECT_EQ(s.readable_bytes(), 5u);
   EXPECT_EQ(s.read(10), (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
 }
 
@@ -165,9 +163,9 @@ TEST(RecvStream, FinAndFinished) {
   ASSERT_TRUE(s.final_size().has_value());
   EXPECT_EQ(*s.final_size(), 3u);
   EXPECT_TRUE(s.fully_received());
-  EXPECT_FALSE(s.finished());  // not yet consumed
+  EXPECT_EQ(s.read_offset(), 0u);  // not yet consumed
   s.read(3);
-  EXPECT_TRUE(s.finished());
+  EXPECT_EQ(s.read_offset(), *s.final_size());
 }
 
 TEST(RecvStream, EmptyFin) {
@@ -175,7 +173,8 @@ TEST(RecvStream, EmptyFin) {
   s.on_data(0, {}, true);
   ASSERT_TRUE(s.final_size().has_value());
   EXPECT_EQ(*s.final_size(), 0u);
-  EXPECT_TRUE(s.finished());
+  EXPECT_TRUE(s.fully_received());
+  EXPECT_EQ(s.read_offset(), *s.final_size());
 }
 
 TEST(RecvStream, FinArrivesBeforeGapFilled) {
@@ -224,7 +223,7 @@ TEST(IntervalSet, FragmentationSprayStaysBounded) {
   }
   EXPECT_LE(s.interval_count(), 64u);
   // Bytes accounting stays exact: real bytes + phantom == covered.
-  EXPECT_EQ(s.covered_bytes(), 10000u + phantom);
+  EXPECT_EQ(covered_bytes(s), 10000u + phantom);
 }
 
 TEST(RecvStream, GapCapCollapsesAndCountsPhantoms) {
