@@ -59,7 +59,7 @@ void ReinjectionEngine::run(quic::Connection& conn) {
     if (p.health == quic::PathState::Health::kProbing) continue;
     const sim::Duration overdue_after =
         std::max<sim::Duration>(p.rtt.rtt_plus_var(), sim::millis(200));
-    for (auto& [pn, rec] : p.unacked) {
+    for (auto& [pn, rec] : p.loss.records()) {
       if (rec.items.empty() || rec.is_reinjection) continue;
       if (rec.reinjected) {
         // Re-arm only when the earlier duplicate did not resolve the block:
@@ -92,7 +92,7 @@ std::optional<sim::Duration> max_deliver_time(const quic::Connection& conn) {
     const auto& p = conn.path_state(id);
     if (p.state == quic::PathState::State::kAbandoned) continue;
     if (p.health == quic::PathState::Health::kProbing) continue;
-    if (!p.loss.has_ack_eliciting_in_flight()) continue;
+    if (p.loss.bytes_in_flight() == 0) continue;
     const sim::Duration t = p.rtt.rtt_plus_var();
     if (!max || t > *max) max = t;
   }

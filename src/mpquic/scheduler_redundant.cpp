@@ -19,7 +19,7 @@ class RedundantScheduler final : public quic::Scheduler {
     if (!conn.send_queue().empty()) return;
     for (quic::PathId id : conn.path_ids()) {
       auto& p = conn.path_state(id);
-      for (auto& [pn, rec] : p.unacked) {
+      for (auto& [pn, rec] : p.loss.records()) {
         if (rec.items.empty() || rec.reinjected || rec.is_reinjection)
           continue;
         const std::uint64_t bytes =

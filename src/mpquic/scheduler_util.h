@@ -18,7 +18,7 @@ constexpr std::size_t kMinRoom = 256;
 inline sim::Duration effective_rtt(const quic::Connection& conn,
                                    const quic::PathState& p) {
   sim::Duration rtt = p.rtt.smoothed();
-  if (p.loss.has_ack_eliciting_in_flight() && p.last_ack_received > 0) {
+  if (p.loss.bytes_in_flight() > 0 && p.last_ack_received > 0) {
     const sim::Duration silence = conn.loop().now() - p.last_ack_received;
     rtt = std::max(rtt, silence);
   }

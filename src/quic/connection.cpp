@@ -557,12 +557,11 @@ bool Connection::build_and_send(PathId path_id, std::vector<Frame>& frames,
       path.sampler.on_packet_sent(rec.rate_stamp, rec.sent_time,
                                   path.loss.bytes_in_flight());
     }
-    path.loss.on_packet_sent(rec.pn, rec.sent_time, rec.bytes, eliciting);
+    path.loss.on_packet_sent(std::move(rec));
     if (eliciting) {
-      path.last_ack_eliciting_sent = rec.sent_time;
-      path.cc->on_packet_sent(rec.bytes, rec.sent_time);
+      path.last_ack_eliciting_sent = loop_.now();
+      path.cc->on_packet_sent(wire.size(), loop_.now());
     }
-    path.unacked.emplace(rec.pn, std::move(rec));
   }
 
   // Pacing: every wire departure debits the token bucket (control and acks
@@ -999,14 +998,10 @@ void Connection::handle_ack_info(PathId acked_path, const AckInfo& info) {
                   outcome.acked_bytes,
                   outcome.rtt_sample ? *outcome.rtt_sample : 0,
                   outcome.rtt_sample.has_value()));
-  if (!outcome.newly_acked.empty() && apply(paths_.on_ack(p)))
+  if (!outcome.acked.empty() && apply(paths_.on_ack(p)))
     ++stats_.path_resurrections;
 
-  for (PacketNumber pn : outcome.newly_acked) {
-    auto rit = p.unacked.find(pn);
-    if (rit == p.unacked.end()) continue;
-    SentRecord rec = std::move(rit->second);
-    p.unacked.erase(rit);
+  for (const SentRecord& rec : outcome.acked) {
     for (const SendItem& item : rec.items) {
       auto* stream = send_stream(item.stream_id);
       if (stream)
@@ -1019,7 +1014,7 @@ void Connection::handle_ack_info(PathId acked_path, const AckInfo& info) {
       // rate-based controllers rebuild their model from these.
       const RateSample sample = p.sampler.on_ack(
           rec.rate_stamp, rec.bytes, rec.sent_time, loop_.now(),
-          pn == info.largest_acked() && outcome.rtt_sample
+          rec.pn == info.largest_acked() && outcome.rtt_sample
               ? *outcome.rtt_sample
               : 0,
           p.loss.bytes_in_flight());
@@ -1033,7 +1028,7 @@ void Connection::handle_ack_info(PathId acked_path, const AckInfo& info) {
                       sample.min_rtt, sample.is_app_limited));
     }
   }
-  if (!outcome.newly_acked.empty()) {
+  if (!outcome.acked.empty()) {
     update_pacing(p);
     trace_cc_state(p);
   }
@@ -1073,33 +1068,28 @@ void Connection::trace_cc_state(const PathState& p) {
 // ----------------------------------------------------------- loss handling
 
 void Connection::on_packets_lost(PathState& p,
-                                 const std::vector<LostPacket>& pns) {
+                                 const std::vector<SentRecord>& lost) {
+  if (lost.empty()) return;
   sim::Time latest_sent = 0;
-  std::vector<SentRecord> lost_records;
-  for (const LostPacket& lp : pns) {
-    auto it = p.unacked.find(lp.pn);
-    if (it == p.unacked.end()) continue;
-    latest_sent = std::max(latest_sent, it->second.sent_time);
+  for (const SentRecord& rec : lost) {
+    latest_sent = std::max(latest_sent, rec.sent_time);
     XLINK_TRACE(config_.trace,
                 telemetry::Event::loss(
                     loop_.now(), trace_origin(),
-                    static_cast<std::uint8_t>(p.id), lp.pn, it->second.bytes,
-                    static_cast<std::uint8_t>(lp.reason)));
-    lost_records.push_back(std::move(it->second));
-    p.unacked.erase(it);
+                    static_cast<std::uint8_t>(p.id), rec.pn, rec.bytes,
+                    static_cast<std::uint8_t>(p.loss.loss_reason(rec.pn))));
   }
-  if (lost_records.empty()) return;
-  p.packets_lost += lost_records.size();
-  stats_.packets_lost += lost_records.size();
+  p.packets_lost += lost.size();
+  stats_.packets_lost += lost.size();
   // The sampler never counts lost bytes as delivered, but it must see them
   // so app-limited markers drain when a flight's tail dies instead of
   // being acked (BBR keeps cwnd; the model just stops growing).
-  for (const SentRecord& rec : lost_records)
+  for (const SentRecord& rec : lost)
     if (rec.ack_eliciting) p.sampler.on_loss(rec.bytes);
   p.cc->on_loss_event(latest_sent, loop_.now());
   update_pacing(p);
   trace_cc_state(p);
-  for (const SentRecord& rec : lost_records) requeue_record(rec);
+  for (const SentRecord& rec : lost) requeue_record(rec);
   if (config_.scheduler) config_.scheduler->on_loss(*this, p.id);
 }
 
@@ -1154,7 +1144,7 @@ void Connection::on_pto(PathState& p) {
   // materializes anything sendable, ping so the PTO clock advances.
   int probes = 0;
   bool queued_payload = false;
-  for (auto& [pn, rec] : p.unacked) {
+  for (const auto& [pn, rec] : p.loss.records()) {
     if (!rec.ack_eliciting) continue;
     if (probes >= 2) break;
     ++probes;

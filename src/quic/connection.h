@@ -356,7 +356,7 @@ class Connection {
   /// for controllers with no opinion) after CC state changes.
   void update_pacing(PathState& p);
   void trace_cc_state(const PathState& p);
-  void on_packets_lost(PathState& p, const std::vector<LostPacket>& pns);
+  void on_packets_lost(PathState& p, const std::vector<SentRecord>& lost);
   void requeue_record(const SentRecord& record);
   void on_pto(PathState& p);
   void arm_timers();

@@ -96,21 +96,20 @@ std::size_t InvariantAuditor::tick(const Connection& conn) {
   ++ticks_;
   std::size_t ran = 0;
 
-  // 1. Per-path: bytes_in_flight must equal the sum of the ack-eliciting
-  //    sent records still tracked in unacked_q. Abandoned paths are skipped:
-  //    abandon rescues the records without clearing the loss ledger (the
-  //    path is never scheduled again, so the stale counter is inert).
+  // 1. Per-path, abandoned paths included: the loss ledger's cached
+  //    bytes_in_flight must equal a re-sum of the ack-eliciting records it
+  //    still tracks. The count of checks run covers the live paths only,
+  //    as it always has (an abandoned path's ledger was detached whole).
   for (const auto& [id, p] : conn.paths_) {
-    if (p->state == PathState::State::kAbandoned) continue;
     std::uint64_t ledger = 0;
-    for (const auto& [pn, rec] : p->unacked)
+    for (const auto& [pn, rec] : p->loss.records())
       if (rec.ack_eliciting) ledger += rec.bytes;
-    ++ran;
+    if (p->state != PathState::State::kAbandoned) ++ran;
     if (ledger != p->loss.bytes_in_flight()) {
       AuditFailure f;
       f.check = "bytes_in_flight_ledger";
       f.detail = "path " + std::to_string(id) +
-                 ": unacked-record sum diverged from loss detection";
+                 ": sent-record sum diverged from cached bytes_in_flight";
       f.expected = ledger;
       f.actual = p->loss.bytes_in_flight();
       fail(conn, std::move(f));

@@ -1,13 +1,14 @@
 #include "quic/loss_detection.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace xlink::quic {
 
-void LossDetection::on_packet_sent(PacketNumber pn, sim::Time now,
-                                   std::size_t bytes, bool ack_eliciting) {
-  sent_.emplace(pn, Meta{now, bytes, ack_eliciting});
-  if (ack_eliciting) bytes_in_flight_ += bytes;
+void LossDetection::on_packet_sent(SentRecord rec) {
+  if (rec.ack_eliciting) bytes_in_flight_ += rec.bytes;
+  const PacketNumber pn = rec.pn;
+  sent_.emplace(pn, std::move(rec));
 }
 
 sim::Duration LossDetection::time_threshold(const RttEstimator& rtt) const {
@@ -25,15 +26,14 @@ LossDetection::AckOutcome LossDetection::on_ack_received(
   for (const AckRange& range : info.ranges) {
     auto it = sent_.lower_bound(range.first);
     while (it != sent_.end() && it->first <= range.last) {
-      const Meta& m = it->second;
-      out.newly_acked.push_back(it->first);
-      out.acked_bytes += m.ack_eliciting ? m.bytes : 0;
-      if (m.ack_eliciting) bytes_in_flight_ -= m.bytes;
-      if (it->first == largest) {
-        out.largest_acked_sent_time = m.sent_time;
-        if (m.ack_eliciting)
-          out.rtt_sample = now >= m.sent_time ? now - m.sent_time : 0;
+      const SentRecord& r = it->second;
+      if (r.ack_eliciting) {
+        out.acked_bytes += r.bytes;
+        bytes_in_flight_ -= r.bytes;
+        if (r.pn == largest)
+          out.rtt_sample = now >= r.sent_time ? now - r.sent_time : 0;
       }
+      out.acked.push_back(std::move(it->second));
       it = sent_.erase(it);
     }
   }
@@ -45,21 +45,20 @@ LossDetection::AckOutcome LossDetection::on_ack_received(
   return out;
 }
 
-std::vector<LostPacket> LossDetection::detect_losses(
+std::vector<SentRecord> LossDetection::detect_losses(
     sim::Time now, const RttEstimator& rtt) {
-  std::vector<LostPacket> lost;
+  std::vector<SentRecord> lost;
   if (!any_acked_) return lost;
   const sim::Duration threshold = time_threshold(rtt);
   for (auto it = sent_.begin(); it != sent_.end();) {
     const PacketNumber pn = it->first;
     if (pn >= largest_acked_) break;  // nothing newer acked: can't judge yet
-    const Meta& m = it->second;
+    const SentRecord& r = it->second;
     const bool by_count = largest_acked_ >= pn + kPacketThreshold;
-    const bool by_time = m.sent_time + threshold <= now;
+    const bool by_time = r.sent_time + threshold <= now;
     if (by_count || by_time) {
-      lost.push_back({pn, by_count ? LossReason::kPacketThreshold
-                                   : LossReason::kTimeThreshold});
-      if (m.ack_eliciting) bytes_in_flight_ -= m.bytes;
+      if (r.ack_eliciting) bytes_in_flight_ -= r.bytes;
+      lost.push_back(std::move(it->second));
       it = sent_.erase(it);
     } else {
       ++it;
@@ -73,38 +72,21 @@ std::optional<sim::Time> LossDetection::loss_time(
   if (!any_acked_) return std::nullopt;
   const sim::Duration threshold = time_threshold(rtt);
   std::optional<sim::Time> earliest;
-  for (const auto& [pn, m] : sent_) {
+  for (const auto& [pn, r] : sent_) {
     if (pn >= largest_acked_) break;
-    const sim::Time t = m.sent_time + threshold;
+    const sim::Time t = r.sent_time + threshold;
     if (!earliest || t < *earliest) earliest = t;
   }
   return earliest;
 }
 
-std::optional<sim::Time> LossDetection::oldest_unacked_sent_time() const {
-  std::optional<sim::Time> earliest;
-  for (const auto& [pn, m] : sent_) {
-    if (!m.ack_eliciting) continue;
-    if (!earliest || m.sent_time < *earliest) earliest = m.sent_time;
-  }
-  return earliest;
-}
-
-bool LossDetection::has_ack_eliciting_in_flight() const {
-  return std::any_of(sent_.begin(), sent_.end(),
-                     [](const auto& kv) { return kv.second.ack_eliciting; });
-}
-
-void LossDetection::forget(PacketNumber pn) {
-  auto it = sent_.find(pn);
-  if (it == sent_.end()) return;
-  if (it->second.ack_eliciting) bytes_in_flight_ -= it->second.bytes;
-  sent_.erase(it);
-}
-
-void LossDetection::clear_in_flight() {
+std::vector<SentRecord> LossDetection::detach() {
+  std::vector<SentRecord> out;
+  out.reserve(sent_.size());
+  for (auto& [pn, r] : sent_) out.push_back(std::move(r));
   sent_.clear();
   bytes_in_flight_ = 0;
+  return out;
 }
 
 sim::Duration backed_off_pto(sim::Duration base_pto,

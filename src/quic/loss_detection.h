@@ -1,9 +1,11 @@
 // Per-path loss detection, RFC 9002 style.
 //
 // Multipath QUIC gives each path its own packet number space, so each path
-// owns one LossDetection instance. The class tracks sent-packet metadata
-// only; the connection keeps the frame contents keyed by packet number and
-// retransmits what this class declares acked or lost.
+// owns one LossDetection instance. It is the one ledger of the path's
+// in-flight packets (the paper's unacked_q): it keeps every SentRecord,
+// frame contents included, from send until the record is acked, declared
+// lost or detached, and hands the record itself back to the connection,
+// which feeds congestion control and retransmits from it.
 //
 // A packet is declared lost when it is unacked and either
 //   largest_acked >= pn + kPacketThreshold            (packet threshold), or
@@ -15,10 +17,13 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <ranges>
 #include <vector>
 
+#include "quic/delivery_rate.h"
 #include "quic/frame.h"
 #include "quic/rtt.h"
+#include "quic/scheduler.h"
 #include "quic/types.h"
 #include "sim/time.h"
 
@@ -45,66 +50,82 @@ sim::Duration backed_off_pto(sim::Duration base_pto, std::uint32_t pto_count);
 /// delay spikes rather than drops).
 enum class LossReason : std::uint8_t { kPacketThreshold = 0, kTimeThreshold };
 
-struct LostPacket {
+/// One sent packet, kept until it is acked, declared lost or detached.
+struct SentRecord {
   PacketNumber pn = 0;
-  LossReason reason = LossReason::kPacketThreshold;
+  PathId path = 0;
+  sim::Time sent_time = 0;
+  std::size_t bytes = 0;         // sealed wire size, never 0
+  bool ack_eliciting = false;
+  std::vector<SendItem> items;   // stream ranges carried
+  std::vector<Frame> control;    // retransmittable control frames carried
+  bool is_reinjection = false;   // this packet was itself a re-injection
+  bool reinjected = false;       // a duplicate of this packet was queued
+  sim::Time reinjected_at = 0;   // when that duplicate was queued
+  /// Delivery-rate stamp (draft-cheng): the path's delivered totals frozen
+  /// at send time, so the ack can reconstruct the rate over this flight.
+  RateStamp rate_stamp;
 };
 
 class LossDetection {
  public:
-  void on_packet_sent(PacketNumber pn, sim::Time now, std::size_t bytes,
-                      bool ack_eliciting);
+  using Ledger = std::map<PacketNumber, SentRecord>;
+
+  /// Tracks `rec` until it is acked, declared lost or detached.
+  void on_packet_sent(SentRecord rec);
 
   struct AckOutcome {
-    std::vector<PacketNumber> newly_acked;
-    std::vector<LostPacket> lost;
+    std::vector<SentRecord> acked;  // in ack-range order
+    std::vector<SentRecord> lost;   // in packet-number order
     std::size_t acked_bytes = 0;
     /// RTT sample (now - send time of largest newly-acked, if ack-eliciting).
     std::optional<sim::Duration> rtt_sample;
-    /// Send time of the largest newly-acked packet (CC recovery check).
-    sim::Time largest_acked_sent_time = 0;
   };
 
   /// Processes an ACK block; also runs loss detection with the new
-  /// largest-acked information.
+  /// largest-acked information. The acked and lost records leave the ledger.
   AckOutcome on_ack_received(const AckInfo& info, sim::Time now,
                              const RttEstimator& rtt);
 
-  /// Re-runs time-threshold loss detection (call when the loss timer fires).
-  std::vector<LostPacket> detect_losses(sim::Time now,
+  /// Re-runs time-threshold loss detection (call when the loss timer fires);
+  /// the lost records leave the ledger, in packet-number order.
+  std::vector<SentRecord> detect_losses(sim::Time now,
                                         const RttEstimator& rtt);
+
+  /// Which rule declared packet `pn` lost, for a record just handed back as
+  /// lost (the judgment used the current largest_acked()).
+  LossReason loss_reason(PacketNumber pn) const {
+    return largest_acked_ >= pn + kPacketThreshold
+               ? LossReason::kPacketThreshold
+               : LossReason::kTimeThreshold;
+  }
 
   /// Earliest time at which a currently-tracked packet would cross the time
   /// threshold; nullopt when no packet is waiting on it.
   std::optional<sim::Time> loss_time(const RttEstimator& rtt) const;
 
-  /// Send time of the oldest ack-eliciting unacked packet (PTO base).
-  std::optional<sim::Time> oldest_unacked_sent_time() const;
+  /// Hands back every tracked record in packet-number order and leaves
+  /// nothing in flight (failover and abandon: the connection requeues the
+  /// content elsewhere, and the path stops charging bytes_in_flight and
+  /// arming loss/PTO timers for packets that will never be acked).
+  std::vector<SentRecord> detach();
 
+  /// The tracked records in packet-number order. Callers may mark records
+  /// (re-injection) but neither add nor remove them.
+  std::ranges::subrange<Ledger::iterator> records() {
+    return {sent_.begin(), sent_.end()};
+  }
+  const Ledger& records() const { return sent_; }
+
+  /// Bytes of the ack-eliciting records in flight; > 0 exactly when one is.
   std::size_t bytes_in_flight() const { return bytes_in_flight_; }
-  bool has_ack_eliciting_in_flight() const;
   PacketNumber largest_acked() const { return largest_acked_; }
   std::size_t tracked_packets() const { return sent_.size(); }
 
-  /// Forgets a packet without treating it as acked or lost (used when a
-  /// probe duplicates data that was since acked through another copy).
-  void forget(PacketNumber pn);
-
-  /// Forgets everything in flight (failover rescue: the connection requeues
-  /// the content elsewhere, so the dead path stops charging bytes_in_flight
-  /// and stops arming loss/PTO timers for packets that will never be acked).
-  void clear_in_flight();
-
  private:
-  struct Meta {
-    sim::Time sent_time = 0;
-    std::size_t bytes = 0;
-    bool ack_eliciting = false;
-  };
-
   sim::Duration time_threshold(const RttEstimator& rtt) const;
 
-  std::map<PacketNumber, Meta> sent_;
+  Ledger sent_;
   std::size_t bytes_in_flight_ = 0;
   PacketNumber largest_acked_ = 0;
   bool any_acked_ = false;

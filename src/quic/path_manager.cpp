@@ -127,7 +127,7 @@ std::optional<PathTransition> PathManager::set_status(PathId id,
     set_state(*p, PathState::State::kAbandoned);
     // Tell the peer on a surviving path, and rescue everything in flight.
     PathTransition t = tell_peer(*p, status);
-    t.rescued = detach_unacked(*p);
+    t.rescued = p->loss.detach();
     return t;
   }
   set_state(*p, status == PathStatusKind::kStandby ? PathState::State::kStandby
@@ -144,7 +144,7 @@ PathTransition PathManager::on_peer_status(const PathStatusFrame& f) {
     // Peer abandoned: stop using it, rescue in-flight data.
     if (p->state != PathState::State::kAbandoned) {
       set_state(*p, PathState::State::kAbandoned);
-      t.rescued = detach_unacked(*p);
+      t.rescued = p->loss.detach();
     }
   } else if (f.status == PathStatusKind::kStandby) {
     set_state(*p, PathState::State::kStandby);
@@ -200,11 +200,10 @@ std::optional<PathTransition> PathManager::on_pto(PathState& p) {
     // resurrection.
     PathTransition t = tell_peer(p, PathStatusKind::kStandby);
     // Orphan rescue: everything still in flight on the dead path is
-    // requeued so surviving paths carry it. Loss state is wiped so the path
-    // stops charging bytes_in_flight and stops arming loss/PTO deadlines
-    // for packets that will never be acked.
-    t.rescued = detach_unacked(p);
-    p.loss.clear_in_flight();
+    // requeued so surviving paths carry it; the path stops charging
+    // bytes_in_flight and stops arming loss/PTO deadlines for packets that
+    // will never be acked.
+    t.rescued = p.loss.detach();
     // Dead-path probing starts at the current backed-off PTO and doubles
     // per silent probe, capped -- the resurrection latency bound.
     p.probe_interval =
@@ -258,14 +257,6 @@ void PathManager::set_health(PathState& p, PathState::Health health) {
 PathTransition PathManager::tell_peer(PathState& p, std::uint64_t status) {
   const PathStatusFrame f{p.id, ++p.status_seq_out, status};
   return {Frame{f}, fastest_active_path(), {}};
-}
-
-std::vector<SentRecord> PathManager::detach_unacked(PathState& p) {
-  std::vector<SentRecord> out;
-  out.reserve(p.unacked.size());
-  for (auto& [pn, rec] : p.unacked) out.push_back(std::move(rec));
-  p.unacked.clear();
-  return out;
 }
 
 }  // namespace xlink::quic

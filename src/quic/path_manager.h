@@ -29,24 +29,6 @@
 
 namespace xlink::quic {
 
-/// Metadata of one sent packet kept until it is acked or lost; the per-path
-/// collection of these is the paper's unacked_q.
-struct SentRecord {
-  PacketNumber pn = 0;
-  PathId path = 0;
-  sim::Time sent_time = 0;
-  std::size_t bytes = 0;
-  bool ack_eliciting = false;
-  std::vector<SendItem> items;   // stream ranges carried
-  std::vector<Frame> control;    // retransmittable control frames carried
-  bool is_reinjection = false;   // this packet was itself a re-injection
-  bool reinjected = false;       // a duplicate of this packet was queued
-  sim::Time reinjected_at = 0;   // when that duplicate was queued
-  /// Delivery-rate stamp (draft-cheng): the path's delivered totals frozen
-  /// at send time, so the ack can reconstruct the rate over this flight.
-  RateStamp rate_stamp;
-};
-
 /// Per-path transport state (public so schedulers can inspect and, for
 /// baselines like MPTCP-style penalization, adjust).
 struct PathState {
@@ -73,8 +55,8 @@ struct PathState {
   DeliveryRateSampler sampler;
   /// Token-bucket pacer (inactive unless Config::pacing.enabled).
   Pacer pacer;
+  /// The path's one ledger of in-flight packets (its unacked_q).
   LossDetection loss;
-  std::map<PacketNumber, SentRecord> unacked;
   PacketNumber next_pn = 0;
   sim::Time last_ack_eliciting_sent = 0;
   sim::Time last_ack_received = 0;  // last time this path's data was acked
@@ -195,7 +177,7 @@ class PathManager {
   }
   /// When `p`'s PTO fires; nullopt without ack-eliciting data in flight.
   std::optional<sim::Time> pto_deadline(const PathState& p) const {
-    if (!p.loss.has_ack_eliciting_in_flight()) return std::nullopt;
+    if (p.loss.bytes_in_flight() == 0) return std::nullopt;
     return p.last_ack_eliciting_sent + pto_interval(p);
   }
 
@@ -242,8 +224,6 @@ class PathManager {
   /// PATH_STATUS for `p` with the next sequence number, on the fastest
   /// active path.
   PathTransition tell_peer(PathState& p, std::uint64_t status);
-  /// Moves every unacked record of `p` out for requeueing.
-  static std::vector<SentRecord> detach_unacked(PathState& p);
   std::optional<PathTransition> resurrect(PathState& p);
 
   sim::EventLoop& loop_;

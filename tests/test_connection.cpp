@@ -197,6 +197,52 @@ TEST(Connection, AbandonPathRescuesInFlightData) {
   EXPECT_TRUE(stream->fully_received());
 }
 
+TEST(Connection, LateAckOnAbandonedPathDoesNotResurrectIt) {
+  WirePair pair(mp_options());
+  ASSERT_TRUE(pair.establish());
+  pair.run_for(sim::millis(100));
+  ASSERT_TRUE(pair.client->open_path().has_value());
+  pair.run_for(sim::millis(100));
+  ASSERT_EQ(pair.client->active_path_ids().size(), 2u);
+
+  // Black-hole server->client on path 1 under a transfer until the server
+  // fails the path over.
+  bool blackhole = true;
+  pair.drop_server_to_client = [&blackhole](PathId path,
+                                            const net::Datagram&) {
+    return blackhole && path == 1;
+  };
+  const StreamId id = pair.client->open_stream();
+  pair.client->stream_send(id, test::bytes_of("r"), true);
+  pair.run_for(sim::millis(50));
+  pair.server->stream_send(id, test::pattern_bytes(300 * 1024, 3), true);
+  Connection& server = *pair.server;
+  for (int i = 0; i < 10'000 && server.stats().failovers == 0; ++i)
+    pair.run_for(sim::millis(1));
+  ASSERT_EQ(server.stats().failovers, 1u);
+  ASSERT_EQ(server.path_state(1).health, PathState::Health::kProbing);
+
+  // Let the next dead-path probe through; its ack leaves the client, and
+  // the server abandons the path before that ack lands.
+  blackhole = false;
+  const std::uint64_t probes = server.stats().dead_path_probes;
+  for (int i = 0; i < 10'000 && server.stats().dead_path_probes == probes;
+       ++i)
+    pair.run_for(sim::millis(1));
+  ASSERT_GT(server.stats().dead_path_probes, probes);
+  pair.run_for(sim::millis(30));
+  server.abandon_path(1);
+  const std::uint64_t status_seq = server.path_state(1).status_seq_out;
+  pair.run_for(sim::millis(300));
+
+  // The late ack finds nothing in flight on the abandoned path: no
+  // resurrection, and no PATH_STATUS(available) for it.
+  EXPECT_EQ(server.stats().path_resurrections, 0u);
+  EXPECT_EQ(server.path_state(1).state, PathState::State::kAbandoned);
+  EXPECT_EQ(server.path_state(1).health, PathState::Health::kProbing);
+  EXPECT_EQ(server.path_state(1).status_seq_out, status_seq);
+}
+
 TEST(Connection, MigrationMovesTrafficAndResetsCwnd) {
   WirePair::Options o;  // single-path configs (CM is base QUIC)
   WirePair pair(std::move(o));

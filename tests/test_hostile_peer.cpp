@@ -482,14 +482,15 @@ TEST(InvariantAuditor, CatchesSeededLedgerCorruption) {
         caught.push_back(f);
       });
 
-  // Seed the bug: a phantom sent-record the loss ledger never saw. The
-  // bytes_in_flight re-derivation must disagree with the incremental sum.
-  quic::SentRecord phantom;
-  phantom.pn = 999999;
-  phantom.path = 0;
-  phantom.bytes = 777;
-  phantom.ack_eliciting = true;
-  server.path_state(0).unacked.emplace(phantom.pn, std::move(phantom));
+  // Seed the bug: one tracked record's size changes behind the ledger's
+  // back. The re-sum of the records must disagree with the cached
+  // bytes_in_flight.
+  server.stream_send(server.open_stream(), test::bytes_of("seed"), false);
+  auto records = server.path_state(0).loss.records();
+  ASSERT_FALSE(records.empty());
+  quic::SentRecord& seeded = records.begin()->second;
+  ASSERT_TRUE(seeded.ack_eliciting);
+  seeded.bytes += 777;
 
   server.audit_now();
   ASSERT_FALSE(caught.empty());
@@ -497,7 +498,7 @@ TEST(InvariantAuditor, CatchesSeededLedgerCorruption) {
   EXPECT_GE(server.auditor().failures(), 1u);
 
   // Un-seed so teardown audits (timer ticks) stay quiet.
-  server.path_state(0).unacked.erase(999999);
+  seeded.bytes -= 777;
   rig.expect_no_leaks();
 }
 

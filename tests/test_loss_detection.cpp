@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include "quic/loss_detection.h"
+#include "test_support.h"
 
 namespace xlink::quic {
 namespace {
+
+using test::sent_record;
 
 AckInfo ack_of(std::vector<AckRange> ranges, std::uint64_t delay_us = 0) {
   AckInfo info;
@@ -19,17 +22,19 @@ RttEstimator rtt_100ms() {
   return rtt;
 }
 
-std::vector<PacketNumber> pns(const std::vector<LostPacket>& lost) {
+std::vector<PacketNumber> pns(const std::vector<SentRecord>& records) {
   std::vector<PacketNumber> out;
-  out.reserve(lost.size());
-  for (const LostPacket& l : lost) out.push_back(l.pn);
+  out.reserve(records.size());
+  for (const SentRecord& r : records) out.push_back(r.pn);
   return out;
 }
 
 TEST(LossDetection, TracksBytesInFlight) {
   LossDetection ld;
-  ld.on_packet_sent(0, sim::millis(0), 1000, true);
-  ld.on_packet_sent(1, sim::millis(1), 500, false);  // ack-only pkt
+  EXPECT_EQ(ld.bytes_in_flight(), 0u);
+  ld.on_packet_sent(sent_record(0, 500, 0, false));  // ack-only pkt
+  EXPECT_EQ(ld.bytes_in_flight(), 0u);
+  ld.on_packet_sent(sent_record(1, 1000, sim::millis(1)));
   EXPECT_EQ(ld.bytes_in_flight(), 1000u);
   EXPECT_EQ(ld.tracked_packets(), 2u);
 }
@@ -37,24 +42,25 @@ TEST(LossDetection, TracksBytesInFlight) {
 TEST(LossDetection, AckRemovesAndReports) {
   LossDetection ld;
   auto rtt = rtt_100ms();
-  ld.on_packet_sent(0, sim::millis(0), 1000, true);
-  ld.on_packet_sent(1, sim::millis(1), 1000, true);
+  ld.on_packet_sent(sent_record(0, 1000, sim::millis(0)));
+  ld.on_packet_sent(sent_record(1, 1000, sim::millis(1)));
   const auto out = ld.on_ack_received(ack_of({{0, 1}}), sim::millis(120), rtt);
-  EXPECT_EQ(out.newly_acked, (std::vector<PacketNumber>{0, 1}));
+  EXPECT_EQ(pns(out.acked), (std::vector<PacketNumber>{0, 1}));
+  EXPECT_EQ(out.acked[1].sent_time, sim::millis(1));
   EXPECT_EQ(out.acked_bytes, 2000u);
   EXPECT_EQ(ld.bytes_in_flight(), 0u);
+  EXPECT_EQ(ld.tracked_packets(), 0u);
   ASSERT_TRUE(out.rtt_sample.has_value());
   EXPECT_EQ(*out.rtt_sample, sim::millis(119));  // 120 - sent@1
-  EXPECT_EQ(out.largest_acked_sent_time, sim::millis(1));
 }
 
 TEST(LossDetection, DuplicateAckIsHarmless) {
   LossDetection ld;
   auto rtt = rtt_100ms();
-  ld.on_packet_sent(0, 0, 1000, true);
+  ld.on_packet_sent(sent_record(0, 1000, 0));
   ld.on_ack_received(ack_of({{0, 0}}), sim::millis(100), rtt);
   const auto again = ld.on_ack_received(ack_of({{0, 0}}), sim::millis(200), rtt);
-  EXPECT_TRUE(again.newly_acked.empty());
+  EXPECT_TRUE(again.acked.empty());
   EXPECT_EQ(again.acked_bytes, 0u);
   EXPECT_EQ(ld.bytes_in_flight(), 0u);
 }
@@ -63,21 +69,21 @@ TEST(LossDetection, PacketThresholdLoss) {
   LossDetection ld;
   auto rtt = rtt_100ms();
   for (PacketNumber pn = 0; pn <= 4; ++pn)
-    ld.on_packet_sent(pn, sim::millis(pn), 1000, true);
+    ld.on_packet_sent(sent_record(pn, 1000, sim::millis(pn)));
   // Ack only pn 4, early enough that the time threshold (112.5ms) has not
   // fired: pn 0 and 1 are >= 3 behind -> lost; 2,3 not yet.
   const auto out = ld.on_ack_received(ack_of({{4, 4}}), sim::millis(20), rtt);
   EXPECT_EQ(pns(out.lost), (std::vector<PacketNumber>{0, 1}));
-  for (const LostPacket& l : out.lost)
-    EXPECT_EQ(l.reason, LossReason::kPacketThreshold);
+  for (const SentRecord& r : out.lost)
+    EXPECT_EQ(ld.loss_reason(r.pn), LossReason::kPacketThreshold);
   EXPECT_EQ(ld.bytes_in_flight(), 2000u);  // pns 2,3 remain
 }
 
 TEST(LossDetection, TimeThresholdLoss) {
   LossDetection ld;
   auto rtt = rtt_100ms();
-  ld.on_packet_sent(0, sim::millis(0), 1000, true);
-  ld.on_packet_sent(1, sim::millis(1), 1000, true);
+  ld.on_packet_sent(sent_record(0, 1000, sim::millis(0)));
+  ld.on_packet_sent(sent_record(1, 1000, sim::millis(1)));
   // Ack pn 1 shortly after; pn 0 is only 1 behind (below packet threshold).
   auto out = ld.on_ack_received(ack_of({{1, 1}}), sim::millis(50), rtt);
   EXPECT_TRUE(out.lost.empty());
@@ -85,15 +91,15 @@ TEST(LossDetection, TimeThresholdLoss) {
   const auto lost = ld.detect_losses(sim::millis(113), rtt);
   EXPECT_EQ(pns(lost), (std::vector<PacketNumber>{0}));
   ASSERT_EQ(lost.size(), 1u);
-  EXPECT_EQ(lost[0].reason, LossReason::kTimeThreshold);
+  EXPECT_EQ(ld.loss_reason(lost[0].pn), LossReason::kTimeThreshold);
 }
 
 TEST(LossDetection, LossTimeReportsEarliestDeadline) {
   LossDetection ld;
   auto rtt = rtt_100ms();
-  ld.on_packet_sent(0, sim::millis(0), 1000, true);
-  ld.on_packet_sent(1, sim::millis(10), 1000, true);
-  ld.on_packet_sent(2, sim::millis(20), 1000, true);
+  ld.on_packet_sent(sent_record(0, 1000, sim::millis(0)));
+  ld.on_packet_sent(sent_record(1, 1000, sim::millis(10)));
+  ld.on_packet_sent(sent_record(2, 1000, sim::millis(20)));
   EXPECT_FALSE(ld.loss_time(rtt).has_value());  // nothing acked yet
   ld.on_ack_received(ack_of({{2, 2}}), sim::millis(60), rtt);
   const auto t = ld.loss_time(rtt);
@@ -105,42 +111,38 @@ TEST(LossDetection, LossTimeReportsEarliestDeadline) {
 TEST(LossDetection, NoLossJudgmentAbovLargestAcked) {
   LossDetection ld;
   auto rtt = rtt_100ms();
-  ld.on_packet_sent(0, 0, 1000, true);
-  ld.on_packet_sent(1, 0, 1000, true);
+  ld.on_packet_sent(sent_record(0, 1000, 0));
+  ld.on_packet_sent(sent_record(1, 1000, 0));
   ld.on_ack_received(ack_of({{0, 0}}), sim::millis(10), rtt);
   // pn 1 is newer than largest acked: never declared lost by time.
   EXPECT_TRUE(ld.detect_losses(sim::millis(100000), rtt).empty());
 }
 
-TEST(LossDetection, OldestUnackedAndAckEliciting) {
+TEST(LossDetection, DetachReturnsEveryRecordInPnOrder) {
   LossDetection ld;
-  EXPECT_FALSE(ld.oldest_unacked_sent_time().has_value());
-  EXPECT_FALSE(ld.has_ack_eliciting_in_flight());
-  ld.on_packet_sent(0, sim::millis(5), 100, false);
-  EXPECT_FALSE(ld.has_ack_eliciting_in_flight());
-  ld.on_packet_sent(1, sim::millis(9), 100, true);
-  EXPECT_TRUE(ld.has_ack_eliciting_in_flight());
-  EXPECT_EQ(*ld.oldest_unacked_sent_time(), sim::millis(9));
-}
-
-TEST(LossDetection, ForgetDropsWithoutJudgment) {
-  LossDetection ld;
-  ld.on_packet_sent(0, 0, 1000, true);
-  ld.forget(0);
+  auto rtt = rtt_100ms();
+  for (PacketNumber pn = 0; pn < 6; ++pn)
+    ld.on_packet_sent(sent_record(pn, 100, sim::millis(pn), pn != 2));
+  ld.on_ack_received(ack_of({{1, 1}}), sim::millis(20), rtt);
+  ASSERT_EQ(ld.bytes_in_flight(), 400u);  // 0, 3, 4, 5; pn 2 is ack-only
+  const std::vector<SentRecord> out = ld.detach();
+  EXPECT_EQ(pns(out), (std::vector<PacketNumber>{0, 2, 3, 4, 5}));
   EXPECT_EQ(ld.bytes_in_flight(), 0u);
   EXPECT_EQ(ld.tracked_packets(), 0u);
-  ld.forget(42);  // unknown pn: no-op
+  EXPECT_FALSE(ld.loss_time(rtt).has_value());
+  EXPECT_TRUE(ld.detach().empty());
 }
 
 TEST(LossDetection, MultiRangeAck) {
   LossDetection ld;
   auto rtt = rtt_100ms();
   for (PacketNumber pn = 0; pn < 10; ++pn)
-    ld.on_packet_sent(pn, sim::millis(pn), 100, true);
+    ld.on_packet_sent(sent_record(pn, 100, sim::millis(pn)));
   const auto out =
       ld.on_ack_received(ack_of({{8, 9}, {4, 5}, {0, 1}}), sim::millis(50),
                          rtt);
-  EXPECT_EQ(out.newly_acked.size(), 6u);
+  // Acked records come back in ack-range order: the order CC sees them.
+  EXPECT_EQ(pns(out.acked), (std::vector<PacketNumber>{8, 9, 4, 5, 0, 1}));
   // 2,3,6 are 3+ behind largest=9 -> lost; 7 is within packet threshold.
   EXPECT_EQ(pns(out.lost), (std::vector<PacketNumber>{2, 3, 6}));
   EXPECT_EQ(ld.tracked_packets(), 1u);
@@ -149,8 +151,8 @@ TEST(LossDetection, MultiRangeAck) {
 TEST(LossDetection, RttSampleOnlyWhenLargestNewlyAcked) {
   LossDetection ld;
   auto rtt = rtt_100ms();
-  ld.on_packet_sent(0, 0, 100, true);
-  ld.on_packet_sent(1, 0, 100, true);
+  ld.on_packet_sent(sent_record(0, 100, 0));
+  ld.on_packet_sent(sent_record(1, 100, 0));
   ld.on_ack_received(ack_of({{1, 1}}), sim::millis(100), rtt);
   // Second ack covers pn 0 but largest (1) is no longer newly acked.
   const auto out = ld.on_ack_received(ack_of({{0, 1}}), sim::millis(150), rtt);

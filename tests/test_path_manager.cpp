@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "quic/path_manager.h"
+#include "test_support.h"
 
 namespace xlink::quic {
 namespace {
@@ -56,7 +57,7 @@ TEST(PathManager, HealthOffNeverDegradesOrFailsOver) {
 TEST(PathManager, FailsOverAtThreePtosWhileAnotherPathIsSchedulable) {
   Rig rig;
   PathState& p0 = two_paths(rig);
-  p0.unacked[7].pn = 7;
+  p0.loss.on_packet_sent(test::sent_record(7, 1200));
   EXPECT_FALSE(rig.pto(p0).has_value());
   EXPECT_FALSE(rig.pto(p0).has_value());
   const auto t = rig.pto(p0);
@@ -71,7 +72,8 @@ TEST(PathManager, FailsOverAtThreePtosWhileAnotherPathIsSchedulable) {
   // In-flight data comes back for the survivors.
   ASSERT_EQ(t->rescued.size(), 1u);
   EXPECT_EQ(t->rescued[0].pn, 7u);
-  EXPECT_TRUE(p0.unacked.empty());
+  EXPECT_EQ(p0.loss.tracked_packets(), 0u);
+  EXPECT_EQ(p0.loss.bytes_in_flight(), 0u);
 }
 
 TEST(PathManager, LastSchedulablePathIsNeverFailedOver) {
@@ -155,11 +157,13 @@ TEST(PathManager, FirstAckResurrectsWithAvailableStatus) {
 TEST(PathManager, AbandonDetachesEveryUnackedRecord) {
   Rig rig;
   PathState& p0 = two_paths(rig);
-  for (PacketNumber pn : {3, 4, 9}) p0.unacked[pn].pn = pn;
+  for (PacketNumber pn : {3, 4, 9})
+    p0.loss.on_packet_sent(test::sent_record(pn, 1200));
   const auto t = rig.paths.set_status(0, PathStatusKind::kAbandon);
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(p0.state, State::kAbandoned);
-  EXPECT_TRUE(p0.unacked.empty());
+  EXPECT_EQ(p0.loss.tracked_packets(), 0u);
+  EXPECT_EQ(p0.loss.bytes_in_flight(), 0u);
   ASSERT_EQ(t->rescued.size(), 3u);
   EXPECT_EQ(t->rescued[0].pn, 3u);
   EXPECT_EQ(t->rescued[1].pn, 4u);
@@ -171,13 +175,14 @@ TEST(PathManager, AbandonDetachesEveryUnackedRecord) {
 
   // The peer's PATH_STATUS(abandon) detaches too, but tells nobody.
   PathState& p1 = rig.paths.at(1);
-  p1.unacked[5].pn = 5;
+  p1.loss.on_packet_sent(test::sent_record(5, 1200));
   const PathTransition peer =
       rig.paths.on_peer_status({1, 1, PathStatusKind::kAbandon});
   EXPECT_FALSE(peer.frame.has_value());
   ASSERT_EQ(peer.rescued.size(), 1u);
   EXPECT_EQ(p1.state, State::kAbandoned);
   EXPECT_EQ(p1.status_seq_in, 1u);
+  EXPECT_EQ(p1.loss.bytes_in_flight(), 0u);
 }
 
 TEST(PathManager, PeerStatusIgnoresStaleSequenceNumbers) {

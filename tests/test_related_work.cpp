@@ -129,7 +129,7 @@ TEST(RelatedSchedulers, EcfPrefersFastPathAndCanWait) {
   EXPECT_EQ(sched->select_path(server), std::optional<quic::PathId>(0));
   // Fast path full, tiny queue: waiting beats the 800ms path.
   auto& p0 = server.path_state(0);
-  p0.loss.on_packet_sent(500, 0, p0.cc->cwnd_bytes(), true);
+  p0.loss.on_packet_sent(test::sent_record(500, p0.cc->cwnd_bytes()));
   EXPECT_EQ(sched->select_path(server), std::nullopt);
 }
 
@@ -142,7 +142,7 @@ TEST(RelatedSchedulers, EcfUsesSlowPathForLargeBacklog) {
     server.path_state(1).rtt.on_sample(sim::millis(120), 0);
   }
   auto& p0 = server.path_state(0);
-  p0.loss.on_packet_sent(500, 0, p0.cc->cwnd_bytes(), true);
+  p0.loss.on_packet_sent(test::sent_record(500, p0.cc->cwnd_bytes()));
   // Large backlog: the slow path's bandwidth is worth it.
   quic::SendItem item;
   item.length = 4 * 1024 * 1024;
@@ -173,7 +173,7 @@ TEST(RelatedSchedulers, BlestSitsOutWhenBlockingPredicted) {
     server.path_state(1).rtt.on_sample(sim::millis(2000), 0);  // 100x
   }
   auto& p0 = server.path_state(0);
-  p0.loss.on_packet_sent(500, 0, p0.cc->cwnd_bytes(), true);
+  p0.loss.on_packet_sent(test::sent_record(500, p0.cc->cwnd_bytes()));
   quic::SendItem item;
   item.length = 1000;
   server.enqueue_item(item, quic::InsertMode::kAppend);

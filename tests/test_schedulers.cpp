@@ -146,7 +146,7 @@ TEST(MinRttScheduler, SkipsCwndExhaustedPath) {
   auto& p1 = fx.pair.server->path_state(1);
   p1.rtt.on_sample(sim::millis(500), 0);
   // Exhaust path 0's window.
-  p0.loss.on_packet_sent(1000, 0, p0.cc->cwnd_bytes(), true);
+  p0.loss.on_packet_sent(test::sent_record(1000, p0.cc->cwnd_bytes()));
   const auto pick = sched->select_path(*fx.pair.server);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(*pick, 1u);
@@ -166,7 +166,7 @@ TEST(ReinjectionEngine, DuplicatesUnackedFromSlowPathWhenQueueDrains) {
   server.stream_send(0, test::pattern_bytes(2000), false);
   fx.pair.run_for(sim::millis(1));
   quic::SentRecord* rec = nullptr;
-  for (auto& [pn, r] : p0.unacked)
+  for (auto& [pn, r] : p0.loss.records())
     if (!r.items.empty()) rec = &r;
   ASSERT_NE(rec, nullptr);
   rec->reinjected = false;
@@ -209,7 +209,7 @@ TEST(MaxDeliverTime, UsesOnlyPathsWithUnackedData) {
   EXPECT_FALSE(core::max_deliver_time(*pair.server).has_value());
   auto& p0 = pair.server->path_state(0);
   p0.rtt.on_sample(sim::millis(100), 0);
-  p0.loss.on_packet_sent(99, pair.loop.now(), 1200, true);
+  p0.loss.on_packet_sent(test::sent_record(99, 1200, pair.loop.now()));
   const auto t = core::max_deliver_time(*pair.server);
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(*t, p0.rtt.rtt_plus_var());

@@ -81,6 +81,18 @@ inline quic::Connection::Config multipath_config() {
   return cfg;
 }
 
+/// A sent-packet record of `bytes` wire bytes for a loss ledger.
+inline quic::SentRecord sent_record(quic::PacketNumber pn, std::size_t bytes,
+                                    sim::Time sent_time = 0,
+                                    bool ack_eliciting = true) {
+  quic::SentRecord rec;
+  rec.pn = pn;
+  rec.sent_time = sent_time;
+  rec.bytes = bytes;
+  rec.ack_eliciting = ack_eliciting;
+  return rec;
+}
+
 inline std::vector<std::uint8_t> bytes_of(const std::string& s) {
   return {s.begin(), s.end()};
 }
@@ -107,7 +119,8 @@ inline void expect_sent_frame_priority(WirePair& pair, quic::StreamId id,
   for (sim::Duration t = 0; t < duration; t += sim::millis(1)) {
     pair.run_for(sim::millis(1));
     for (quic::PathId p : pair.server->path_ids()) {
-      for (const auto& [pn, rec] : pair.server->path_state(p).unacked) {
+      const quic::LossDetection& ledger = pair.server->path_state(p).loss;
+      for (const auto& [pn, rec] : ledger.records()) {
         for (const quic::SendItem& it : rec.items) {
           if (it.stream_id != id || it.length == 0) continue;
           const std::uint64_t it_end = it.offset + it.length;
