@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <ranges>
 
 namespace xlink::quic {
 namespace {
@@ -33,10 +34,6 @@ bool is_retransmittable_control(const Frame& f) {
          std::holds_alternative<MaxStreamDataFrame>(f) ||
          std::holds_alternative<HandshakeDoneFrame>(f);
 }
-
-constexpr int kMaxAckRanges = 32;
-constexpr int kAckElicitingThreshold = 2;
-
 }  // namespace
 
 Connection::Connection(sim::EventLoop& loop, Config config)
@@ -106,10 +103,8 @@ void Connection::enter_close_state(CloseState state, std::uint64_t error_code,
 }
 
 void Connection::send_close_frame(PathId path) {
-  send_control_packet(
-      path,
-      {Frame{ConnectionCloseFrame{close_info_.error_code, close_info_.reason}}},
-      /*count_inflight=*/false);
+  send_control_packet(path, {Frame{ConnectionCloseFrame{
+                                close_info_.error_code, close_info_.reason}}});
 }
 
 void Connection::close_with_error(TransportError code, ViolationKind kind,
@@ -278,27 +273,18 @@ void Connection::pump() {
       queue.clear();
       continue;
     }
-    std::vector<Frame> frames;
-    std::size_t used = 0;
-    bool suppressed = false;
     while (!queue.empty()) {
-      const std::size_t sz = frame_wire_size(queue.front());
-      if (used + sz > kMaxPacketPayload && !frames.empty()) {
-        // A suppressed send (anti-amplification) re-queued the batch at the
-        // head of this queue; stop flushing the path until budget returns.
-        if (!send_control_packet(path_id, std::move(frames), true)) {
-          suppressed = true;
-          break;
-        }
-        frames = {};
-        used = 0;
+      std::vector<Frame> frames;
+      for (std::size_t used = 0; !queue.empty(); queue.pop_front()) {
+        const std::size_t sz = frame_wire_size(queue.front());
+        if (used + sz > kMaxPacketPayload && !frames.empty()) break;
+        used += sz;
+        frames.push_back(std::move(queue.front()));
       }
-      frames.push_back(std::move(queue.front()));
-      queue.pop_front();
-      used += sz;
+      // A suppressed send (anti-amplification) re-queued the batch at the
+      // head of this queue; stop flushing the path until budget returns.
+      if (!send_control_packet(path_id, std::move(frames))) break;
     }
-    if (!suppressed && !frames.empty())
-      send_control_packet(path_id, std::move(frames), true);
   }
 
   // Stream data, scheduler-driven.
@@ -455,39 +441,33 @@ bool Connection::send_one_packet(PathId path_id, bool ignore_cwnd) {
     send_frames_scratch_ = std::move(frames);
     return false;
   }
-  const bool sent = build_and_send(path_id, frames, std::move(taken),
-                                   /*ack_eliciting=*/true);
+  const bool sent = build_and_send(path_id, frames, std::move(taken));
   frames.clear();
   send_frames_scratch_ = std::move(frames);
   return sent;
 }
 
-bool Connection::send_control_packet(PathId path_id, std::vector<Frame> frames,
-                                     bool count_inflight) {
-  return build_and_send(path_id, frames, {}, count_inflight);
+bool Connection::send_control_packet(PathId path_id,
+                                     std::vector<Frame> frames) {
+  return build_and_send(path_id, frames, {});
 }
 
 AckMpFrame Connection::take_ack(PathState& p) {
-  AckMpFrame ack;
-  ack.path_id = p.id;
-  ack.info.ranges = p.recv_ranges;
-  ack.info.ack_delay_us = loop_.now() - p.largest_recv_time;
-  if (config_.role == Role::kClient && qoe_provider_) ack.qoe = qoe_provider_();
-  p.ack_pending = false;
-  p.ack_eliciting_unacked = 0;
+  const bool qoe = config_.role == Role::kClient && qoe_provider_;
   ++stats_.acks_sent;
-  return ack;
+  return {.path_id = p.id,
+          .info = p.acks.take(loop_.now()),
+          .qoe = qoe ? qoe_provider_() : std::nullopt};
 }
 
 bool Connection::build_and_send(PathId path_id, std::vector<Frame>& frames,
-                                std::vector<SendItem> items,
-                                bool ack_eliciting) {
+                                std::vector<SendItem> items) {
   PathState* found = paths_.find(path_id);
   if (!found || !send_fn_) return false;
   PathState& path = *found;
 
   // Opportunistically piggyback this path's pending ack.
-  const bool prepended_ack = path.ack_pending && !path.recv_ranges.empty();
+  const bool prepended_ack = path.acks.pending();
   if (prepended_ack) frames.insert(frames.begin(), Frame{take_ack(path)});
 
   PacketHeader header;
@@ -524,44 +504,40 @@ bool Connection::build_and_send(PathId path_id, std::vector<Frame>& frames,
       if (is_retransmittable_control(frames[i]))
         ctrl.push_front(std::move(frames[i]));
     if (prepended_ack) {
-      path.ack_pending = true;
+      path.acks.put_back();
       --stats_.acks_sent;
     }
     return false;
   }
   ++path.next_pn;
-  const bool has_ack_eliciting_frame =
+  // Items only travel in STREAM frames, so an ack-eliciting packet is
+  // exactly one that carries something to track.
+  const bool eliciting =
       std::any_of(frames.begin(), frames.end(),
                   [](const Frame& f) { return is_ack_eliciting(f); });
-  const bool eliciting = ack_eliciting && has_ack_eliciting_frame;
   const bool is_reinjection_pkt =
       !items.empty() &&
       std::all_of(items.begin(), items.end(),
                   [](const SendItem& i) { return i.is_reinjection; });
 
-  if (eliciting || !items.empty()) {
+  if (eliciting) {
     SentRecord rec;
     rec.pn = header.packet_number;
     rec.path = path_id;
     rec.sent_time = loop_.now();
     rec.bytes = wire.size();
-    rec.ack_eliciting = eliciting;
     rec.is_reinjection = is_reinjection_pkt;
     rec.items = std::move(items);
     // Stream content is already represented by items.
     for (const Frame& f : frames)
       if (is_retransmittable_control(f)) rec.control.push_back(f);
-    if (eliciting) {
-      // Delivery-rate stamp before loss detection sees the packet: the
-      // sampler re-anchors its clocks when bytes_in_flight is still zero.
-      path.sampler.on_packet_sent(rec.rate_stamp, rec.sent_time,
-                                  path.loss.bytes_in_flight());
-    }
+    // Delivery-rate stamp before loss detection sees the packet: the
+    // sampler re-anchors its clocks when bytes_in_flight is still zero.
+    path.sampler.on_packet_sent(rec.rate_stamp, rec.sent_time,
+                                path.loss.bytes_in_flight());
     path.loss.on_packet_sent(std::move(rec));
-    if (eliciting) {
-      path.last_ack_eliciting_sent = loop_.now();
-      path.cc->on_packet_sent(wire.size(), loop_.now());
-    }
+    path.last_ack_eliciting_sent = loop_.now();
+    path.cc->on_packet_sent(wire.size(), loop_.now());
   }
 
   // Pacing: every wire departure debits the token bucket (control and acks
@@ -613,7 +589,7 @@ bool Connection::build_and_send(PathId path_id, std::vector<Frame>& frames,
       // back into the framer.
       fec_emit_scratch_.clear();
       fec_emit_scratch_.push_back(std::move(f));
-      build_and_send(path_id, fec_emit_scratch_, {}, /*ack_eliciting=*/true);
+      build_and_send(path_id, fec_emit_scratch_, {});
       fec_emit_scratch_.clear();
     }
     fec_frames_scratch_.clear();
@@ -623,18 +599,15 @@ bool Connection::build_and_send(PathId path_id, std::vector<Frame>& frames,
 
 void Connection::send_pending_acks() {
   for (auto& [id, p] : paths_) {
-    if (!p->ack_pending || p->recv_ranges.empty()) continue;
     if (p->state == PathState::State::kAbandoned) {
-      p->ack_pending = false;
+      p->acks.discard();
       continue;
     }
-    const bool due = p->ack_eliciting_unacked >= kAckElicitingThreshold ||
-                     p->ack_deadline <= loop_.now();
-    if (!due) continue;
+    if (!p->acks.due(loop_.now())) continue;
     Frame ack{take_ack(*p)};
     const auto carrier = paths_.ack_carrier_path(id);
     if (!carrier) continue;
-    send_control_packet(*carrier, {std::move(ack)}, /*count_inflight=*/false);
+    send_control_packet(*carrier, {std::move(ack)});
   }
 }
 
@@ -712,7 +685,9 @@ void Connection::on_datagram(PathId arrival_path, net::Datagram dgram) {
   const bool eliciting =
       std::any_of(frames.begin(), frames.end(),
                   [](const Frame& f) { return is_ack_eliciting(f); });
-  const bool duplicate = already_received(path, pkt->header.packet_number);
+  // Duplicate verdict, replay-flood close, then the record: a close sent
+  // here piggybacks the ack pending before this packet arrived.
+  const bool duplicate = path.acks.received(pkt->header.packet_number);
   if (duplicate) {
     ++guard_.replayed_packets;
     if (guard_.replayed_packets > config_.budgets.max_replayed_packets) {
@@ -721,61 +696,13 @@ void Connection::on_datagram(PathId arrival_path, net::Datagram dgram) {
                        path_id);
     }
   }
-  note_received(path, pkt->header.packet_number, eliciting);
+  path.acks.record(pkt->header.packet_number, eliciting, loop_.now());
   if (!duplicate && !closed_)
     handle_frames(path_id, frames);
 
   frames.clear();
   recv_frames_scratch_ = std::move(frames);
   pump();
-}
-
-bool Connection::already_received(const PathState& p, PacketNumber pn) const {
-  for (const AckRange& r : p.recv_ranges)
-    if (pn >= r.first && pn <= r.last) return true;
-  return false;
-}
-
-void Connection::note_received(PathState& p, PacketNumber pn,
-                               bool ack_eliciting) {
-  // Merge pn into the descending-sorted range list.
-  bool merged = false;
-  for (std::size_t i = 0; i < p.recv_ranges.size() && !merged; ++i) {
-    AckRange& r = p.recv_ranges[i];
-    if (pn >= r.first && pn <= r.last) {
-      merged = true;  // duplicate
-    } else if (pn == r.last + 1) {
-      r.last = pn;
-      if (i > 0 && p.recv_ranges[i - 1].first == r.last + 1) {
-        p.recv_ranges[i - 1].first = r.first;
-        p.recv_ranges.erase(p.recv_ranges.begin() + static_cast<long>(i));
-      }
-      merged = true;
-    } else if (pn + 1 == r.first) {
-      r.first = pn;
-      if (i + 1 < p.recv_ranges.size() &&
-          p.recv_ranges[i + 1].last + 1 == r.first) {
-        r.first = p.recv_ranges[i + 1].first;
-        p.recv_ranges.erase(p.recv_ranges.begin() + static_cast<long>(i + 1));
-      }
-      merged = true;
-    }
-  }
-  if (!merged) {
-    auto it = std::find_if(p.recv_ranges.begin(), p.recv_ranges.end(),
-                           [pn](const AckRange& r) { return r.last < pn; });
-    p.recv_ranges.insert(it, AckRange{pn, pn});
-  }
-  if (p.recv_ranges.size() > kMaxAckRanges) p.recv_ranges.pop_back();
-
-  if (pn == p.recv_ranges.front().last) p.largest_recv_time = loop_.now();
-  if (ack_eliciting) {
-    const sim::Time deadline =
-        loop_.now() + sim::millis(config_.params.max_ack_delay_ms);
-    if (!p.ack_pending || deadline < p.ack_deadline) p.ack_deadline = deadline;
-    p.ack_pending = true;
-    ++p.ack_eliciting_unacked;
-  }
 }
 
 void Connection::handle_frames(PathId path_id,
@@ -1007,26 +934,24 @@ void Connection::handle_ack_info(PathId acked_path, const AckInfo& info) {
       if (stream)
         stream->on_range_acked(item.offset, item.offset + item.length);
     }
-    if (rec.ack_eliciting) {
-      p.cc->on_ack(rec.bytes, rec.sent_time, loop_.now(), p.rtt.smoothed(),
-                   rec.rate_stamp.is_app_limited);
-      // Delivery-rate sample for this packet's flight (draft-cheng); the
-      // rate-based controllers rebuild their model from these.
-      const RateSample sample = p.sampler.on_ack(
-          rec.rate_stamp, rec.bytes, rec.sent_time, loop_.now(),
-          rec.pn == info.largest_acked() && outcome.rtt_sample
-              ? *outcome.rtt_sample
-              : 0,
-          p.loss.bytes_in_flight());
-      p.cc->on_rate_sample(sample, loop_.now());
-      XLINK_TRACE(config_.trace,
-                  telemetry::Event::cc_rate_sample(
-                      loop_.now(), trace_origin(),
-                      static_cast<std::uint8_t>(p.id),
-                      static_cast<std::uint64_t>(sample.delivery_rate),
-                      static_cast<std::uint64_t>(sample.btlbw),
-                      sample.min_rtt, sample.is_app_limited));
-    }
+    p.cc->on_ack(rec.bytes, rec.sent_time, loop_.now(), p.rtt.smoothed(),
+                 rec.rate_stamp.is_app_limited);
+    // Delivery-rate sample for this packet's flight (draft-cheng); the
+    // rate-based controllers rebuild their model from these.
+    const RateSample sample = p.sampler.on_ack(
+        rec.rate_stamp, rec.bytes, rec.sent_time, loop_.now(),
+        rec.pn == info.largest_acked() && outcome.rtt_sample
+            ? *outcome.rtt_sample
+            : 0,
+        p.loss.bytes_in_flight());
+    p.cc->on_rate_sample(sample, loop_.now());
+    XLINK_TRACE(config_.trace,
+                telemetry::Event::cc_rate_sample(
+                    loop_.now(), trace_origin(),
+                    static_cast<std::uint8_t>(p.id),
+                    static_cast<std::uint64_t>(sample.delivery_rate),
+                    static_cast<std::uint64_t>(sample.btlbw),
+                    sample.min_rtt, sample.is_app_limited));
   }
   if (!outcome.acked.empty()) {
     update_pacing(p);
@@ -1084,8 +1009,7 @@ void Connection::on_packets_lost(PathState& p,
   // The sampler never counts lost bytes as delivered, but it must see them
   // so app-limited markers drain when a flight's tail dies instead of
   // being acked (BBR keeps cwnd; the model just stops growing).
-  for (const SentRecord& rec : lost)
-    if (rec.ack_eliciting) p.sampler.on_loss(rec.bytes);
+  for (const SentRecord& rec : lost) p.sampler.on_loss(rec.bytes);
   p.cc->on_loss_event(latest_sent, loop_.now());
   update_pacing(p);
   trace_cc_state(p);
@@ -1142,12 +1066,8 @@ void Connection::on_pto(PathState& p) {
   // stream-level ack state dedupes), including control frames -- a lost
   // handshake CRYPTO or PATH_CHALLENGE must be probed too. If no probe
   // materializes anything sendable, ping so the PTO clock advances.
-  int probes = 0;
   bool queued_payload = false;
-  for (const auto& [pn, rec] : p.loss.records()) {
-    if (!rec.ack_eliciting) continue;
-    if (probes >= 2) break;
-    ++probes;
+  for (const auto& [pn, rec] : p.loss.records() | std::views::take(2)) {
     queued_payload |= !rec.items.empty() || !rec.control.empty();
     requeue_record(rec);
   }
@@ -1165,7 +1085,7 @@ void Connection::arm_timers() {
   };
   for (const auto& [id, p] : paths_) {
     if (p->state == PathState::State::kAbandoned) continue;
-    if (p->ack_pending) consider(p->ack_deadline);
+    consider(p->acks.deadline());
     if (p->health == PathState::Health::kProbing) {
       // Failed-over path: only the backoff probe timer runs; loss/PTO
       // deadlines were wiped with the in-flight state at failover.
@@ -1207,7 +1127,7 @@ void Connection::on_timer() {
       // since ACK_MP for this space travels anywhere) resurrects the path.
       if (paths_.take_probe(*p)) {
         ++stats_.dead_path_probes;
-        send_control_packet(id, {Frame{PingFrame{}}}, /*count_inflight=*/true);
+        send_control_packet(id, {Frame{PingFrame{}}});
       }
       continue;
     }

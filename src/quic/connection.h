@@ -12,7 +12,9 @@
 //    health/failover machine live in PathManager (path_manager.h), whose
 //    frames and rescued records this class queues and requeues;
 //  - ACK_MP per path with QoE signal piggybacking, with a pluggable return
-//    path policy (fastest-path vs original-path);
+//    path policy (fastest-path vs original-path). Each path's received
+//    packet numbers, replay floor and ack timing live in its AckTracker
+//    (ack_tracker.h); this class picks the carrier and adds the QoE signal;
 //  - per-path RTT estimation, RFC 9002-style loss detection and PTO, and
 //    decoupled congestion control (Cubic default);
 //  - packetization from the priority-ordered send queue (the paper's
@@ -325,8 +327,7 @@ class Connection {
 
   // Send-side machinery.
   bool send_one_packet(PathId path, bool ignore_cwnd = false);
-  bool send_control_packet(PathId path, std::vector<Frame> frames,
-                           bool count_inflight);
+  bool send_control_packet(PathId path, std::vector<Frame> frames);
   void send_pending_acks();
   /// Seals `frames` into a pooled buffer and hands it to send_fn_. The
   /// frame list is an lvalue ref so callers can reuse scratch storage.
@@ -334,7 +335,7 @@ class Connection {
   /// send was suppressed by the anti-amplification cap -- suppressed
   /// stream/control content is re-queued, never dropped).
   bool build_and_send(PathId path, std::vector<Frame>& frames,
-                      std::vector<SendItem> items, bool ack_eliciting);
+                      std::vector<SendItem> items);
   /// ACK_MP for `p`'s packet number space (QoE-piggybacked on a client);
   /// clears the pending-ack state and counts the ack.
   AckMpFrame take_ack(PathState& p);
@@ -348,8 +349,6 @@ class Connection {
   void handle_crypto(const CryptoFrame& f);
   /// A QoE signal from the peer (ACK_MP piggyback or QOE_CONTROL_SIGNALS).
   void on_peer_qoe(const QoeSignal& qoe);
-  void note_received(PathState& p, PacketNumber pn, bool ack_eliciting);
-  bool already_received(const PathState& p, PacketNumber pn) const;
 
   // Loss/timer machinery.
   /// Re-derives the path's pacing rate from its controller (or cwnd/srtt

@@ -97,13 +97,12 @@ std::size_t InvariantAuditor::tick(const Connection& conn) {
   std::size_t ran = 0;
 
   // 1. Per-path, abandoned paths included: the loss ledger's cached
-  //    bytes_in_flight must equal a re-sum of the ack-eliciting records it
-  //    still tracks. The count of checks run covers the live paths only,
-  //    as it always has (an abandoned path's ledger was detached whole).
+  //    bytes_in_flight must equal a re-sum of the records it still tracks.
+  //    The count of checks run covers the live paths only, as it always
+  //    has (an abandoned path's ledger was detached whole).
   for (const auto& [id, p] : conn.paths_) {
     std::uint64_t ledger = 0;
-    for (const auto& [pn, rec] : p->loss.records())
-      if (rec.ack_eliciting) ledger += rec.bytes;
+    for (const auto& [pn, rec] : p->loss.records()) ledger += rec.bytes;
     if (p->state != PathState::State::kAbandoned) ++ran;
     if (ledger != p->loss.bytes_in_flight()) {
       AuditFailure f;

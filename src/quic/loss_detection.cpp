@@ -6,7 +6,7 @@
 namespace xlink::quic {
 
 void LossDetection::on_packet_sent(SentRecord rec) {
-  if (rec.ack_eliciting) bytes_in_flight_ += rec.bytes;
+  bytes_in_flight_ += rec.bytes;
   const PacketNumber pn = rec.pn;
   sent_.emplace(pn, std::move(rec));
 }
@@ -27,12 +27,10 @@ LossDetection::AckOutcome LossDetection::on_ack_received(
     auto it = sent_.lower_bound(range.first);
     while (it != sent_.end() && it->first <= range.last) {
       const SentRecord& r = it->second;
-      if (r.ack_eliciting) {
-        out.acked_bytes += r.bytes;
-        bytes_in_flight_ -= r.bytes;
-        if (r.pn == largest)
-          out.rtt_sample = now >= r.sent_time ? now - r.sent_time : 0;
-      }
+      out.acked_bytes += r.bytes;
+      bytes_in_flight_ -= r.bytes;
+      if (r.pn == largest)
+        out.rtt_sample = now >= r.sent_time ? now - r.sent_time : 0;
       out.acked.push_back(std::move(it->second));
       it = sent_.erase(it);
     }
@@ -57,7 +55,7 @@ std::vector<SentRecord> LossDetection::detect_losses(
     const bool by_count = largest_acked_ >= pn + kPacketThreshold;
     const bool by_time = r.sent_time + threshold <= now;
     if (by_count || by_time) {
-      if (r.ack_eliciting) bytes_in_flight_ -= r.bytes;
+      bytes_in_flight_ -= r.bytes;
       lost.push_back(std::move(it->second));
       it = sent_.erase(it);
     } else {

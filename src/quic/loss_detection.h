@@ -50,13 +50,13 @@ sim::Duration backed_off_pto(sim::Duration base_pto, std::uint32_t pto_count);
 /// delay spikes rather than drops).
 enum class LossReason : std::uint8_t { kPacketThreshold = 0, kTimeThreshold };
 
-/// One sent packet, kept until it is acked, declared lost or detached.
+/// One sent ack-eliciting packet, kept until it is acked, declared lost or
+/// detached (packets that elicit no ack carry nothing to track).
 struct SentRecord {
   PacketNumber pn = 0;
   PathId path = 0;
   sim::Time sent_time = 0;
   std::size_t bytes = 0;         // sealed wire size, never 0
-  bool ack_eliciting = false;
   std::vector<SendItem> items;   // stream ranges carried
   std::vector<Frame> control;    // retransmittable control frames carried
   bool is_reinjection = false;   // this packet was itself a re-injection
@@ -78,7 +78,7 @@ class LossDetection {
     std::vector<SentRecord> acked;  // in ack-range order
     std::vector<SentRecord> lost;   // in packet-number order
     std::size_t acked_bytes = 0;
-    /// RTT sample (now - send time of largest newly-acked, if ack-eliciting).
+    /// RTT sample (now - send time of the largest acked, if newly acked).
     std::optional<sim::Duration> rtt_sample;
   };
 
@@ -117,7 +117,7 @@ class LossDetection {
   }
   const Ledger& records() const { return sent_; }
 
-  /// Bytes of the ack-eliciting records in flight; > 0 exactly when one is.
+  /// Bytes of the records in flight; > 0 exactly when one is.
   std::size_t bytes_in_flight() const { return bytes_in_flight_; }
   PacketNumber largest_acked() const { return largest_acked_; }
   std::size_t tracked_packets() const { return sent_.size(); }

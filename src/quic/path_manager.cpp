@@ -36,8 +36,10 @@ PathState& PathManager::create(PathId id, PathState::State state) {
   auto p = std::make_unique<PathState>();
   p->id = id;
   // RFC 9002 §5.3: RTT samples may subtract at most the negotiated
-  // max_ack_delay; the estimator owns the clamp.
+  // max_ack_delay; the estimator owns the clamp. This endpoint's own acks
+  // fall due within the same bound.
   p->rtt.set_max_ack_delay(config_.max_ack_delay);
+  p->acks = AckTracker(config_.max_ack_delay);
   if (config_.cc == CcAlgorithm::kCoupledLia) {
     if (!lia_group_) lia_group_ = std::make_shared<LiaGroup>();
     p->cc = make_lia_controller(lia_group_);

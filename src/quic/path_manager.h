@@ -15,6 +15,7 @@
 #include <optional>
 #include <vector>
 
+#include "quic/ack_tracker.h"
 #include "quic/cc.h"
 #include "quic/cc_coupled.h"
 #include "quic/delivery_rate.h"
@@ -67,12 +68,8 @@ struct PathState {
   sim::Duration probe_interval = 0;
   std::uint32_t probes_sent = 0;
 
-  // Receive side of this path's packet number space.
-  std::vector<AckRange> recv_ranges;  // sorted descending, capped
-  sim::Time largest_recv_time = 0;
-  bool ack_pending = false;
-  int ack_eliciting_unacked = 0;
-  sim::Time ack_deadline = 0;
+  /// Receive side of this path's packet number space.
+  AckTracker acks;
 
   // PATH_STATUS bookkeeping.
   std::uint64_t status_seq_out = 0;

@@ -121,7 +121,8 @@ TEST(ConnectionEdge, AckRangesStayBoundedUnderSparseLoss) {
   }
   auto* s = pair.client->recv_stream(id);
   ASSERT_TRUE(s && s->fully_received());
-  EXPECT_LE(pair.client->path_state(0).recv_ranges.size(), 32u);
+  const AckTracker& acks = pair.client->path_state(0).acks;
+  EXPECT_LE(acks.ranges().size(), AckTracker::kMaxRanges);
 }
 
 TEST(ConnectionEdge, ZeroLengthStreamWithFin) {

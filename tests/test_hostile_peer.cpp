@@ -271,6 +271,41 @@ TEST(HostilePeer, DatagramReplayFloodClosesConnection) {
   rig.expect_no_leaks();
 }
 
+TEST(HostilePeer, ReplayBelowAckRangeFloorIsADuplicate) {
+  AttackRig rig;
+  Connection& server = *rig.pair->server;
+  auto& attacker = rig.aim(server);
+  std::vector<std::uint64_t> dispatched;
+  server.on_qoe_feedback = [&](const quic::QoeSignal& qoe) {
+    dispatched.push_back(qoe.cached_frames);
+  };
+
+  // Every other packet number: each packet opens an ack range of its own,
+  // so the 32-range cap discards the lowest ones, the first forged packet
+  // among them.
+  auto packet = [](std::uint64_t i) {
+    quic::QoeSignal qoe;
+    qoe.cached_frames = i;
+    return std::vector<Frame>{Frame{quic::QoeControlSignalsFrame{qoe}}};
+  };
+  const quic::PacketNumber first = attacker.next_pn(0);
+  const auto first_wire = attacker.seal(0, first, packet(0));
+  attacker.inject_wire(0, first_wire);
+  for (std::uint64_t i = 1; i <= 40; ++i)
+    attacker.inject_at(0, first + 2 * i, packet(i));
+  const quic::AckTracker& acks = server.path_state(0).acks;
+  ASSERT_EQ(acks.ranges().size(), quic::AckTracker::kMaxRanges);
+  ASSERT_GT(acks.floor(), first);
+  ASSERT_EQ(dispatched.size(), 41u);
+
+  // A verbatim replay below the floor is a duplicate, not a new packet.
+  attacker.inject_wire(0, first_wire);
+  EXPECT_EQ(server.guard_counters().replayed_packets, 1u);
+  EXPECT_EQ(dispatched.size(), 41u);
+  EXPECT_FALSE(server.is_closed());
+  rig.expect_no_leaks();
+}
+
 TEST(HostilePeer, CidLimitOverrunClosesConnection) {
   AttackRig rig;
   auto& attacker = rig.aim(*rig.pair->server);
@@ -489,7 +524,6 @@ TEST(InvariantAuditor, CatchesSeededLedgerCorruption) {
   auto records = server.path_state(0).loss.records();
   ASSERT_FALSE(records.empty());
   quic::SentRecord& seeded = records.begin()->second;
-  ASSERT_TRUE(seeded.ack_eliciting);
   seeded.bytes += 777;
 
   server.audit_now();

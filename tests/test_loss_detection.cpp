@@ -32,10 +32,10 @@ std::vector<PacketNumber> pns(const std::vector<SentRecord>& records) {
 TEST(LossDetection, TracksBytesInFlight) {
   LossDetection ld;
   EXPECT_EQ(ld.bytes_in_flight(), 0u);
-  ld.on_packet_sent(sent_record(0, 500, 0, false));  // ack-only pkt
-  EXPECT_EQ(ld.bytes_in_flight(), 0u);
+  ld.on_packet_sent(sent_record(0, 500, 0));
+  EXPECT_EQ(ld.bytes_in_flight(), 500u);
   ld.on_packet_sent(sent_record(1, 1000, sim::millis(1)));
-  EXPECT_EQ(ld.bytes_in_flight(), 1000u);
+  EXPECT_EQ(ld.bytes_in_flight(), 1500u);
   EXPECT_EQ(ld.tracked_packets(), 2u);
 }
 
@@ -122,9 +122,9 @@ TEST(LossDetection, DetachReturnsEveryRecordInPnOrder) {
   LossDetection ld;
   auto rtt = rtt_100ms();
   for (PacketNumber pn = 0; pn < 6; ++pn)
-    ld.on_packet_sent(sent_record(pn, 100, sim::millis(pn), pn != 2));
+    ld.on_packet_sent(sent_record(pn, 100, sim::millis(pn)));
   ld.on_ack_received(ack_of({{1, 1}}), sim::millis(20), rtt);
-  ASSERT_EQ(ld.bytes_in_flight(), 400u);  // 0, 3, 4, 5; pn 2 is ack-only
+  ASSERT_EQ(ld.bytes_in_flight(), 500u);  // 0, 2, 3, 4, 5
   const std::vector<SentRecord> out = ld.detach();
   EXPECT_EQ(pns(out), (std::vector<PacketNumber>{0, 2, 3, 4, 5}));
   EXPECT_EQ(ld.bytes_in_flight(), 0u);

@@ -83,13 +83,11 @@ inline quic::Connection::Config multipath_config() {
 
 /// A sent-packet record of `bytes` wire bytes for a loss ledger.
 inline quic::SentRecord sent_record(quic::PacketNumber pn, std::size_t bytes,
-                                    sim::Time sent_time = 0,
-                                    bool ack_eliciting = true) {
+                                    sim::Time sent_time = 0) {
   quic::SentRecord rec;
   rec.pn = pn;
   rec.sent_time = sent_time;
   rec.bytes = bytes;
-  rec.ack_eliciting = ack_eliciting;
   return rec;
 }
 
