@@ -2,14 +2,16 @@
 //
 // These guard the per-packet costs that determine how many emulated
 // sessions per second the evaluation harness can run: varint codec, frame
-// serialization, packet protection, interval bookkeeping, the event loop,
-// and a complete small video session per scheme.
+// serialization, packet protection, content synthesis, the FEC row
+// operation, interval bookkeeping, the event loop, and a complete small
+// video session per scheme.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
 #include <functional>
 #include <vector>
 
+#include "fec/gf256.h"
 #include "harness/scenario.h"
 #include "quic/crypto.h"
 #include "quic/frame.h"
@@ -17,6 +19,7 @@
 #include "quic/packet.h"
 #include "sim/event_loop.h"
 #include "trace/synthetic.h"
+#include "video/video_model.h"
 
 using namespace xlink;
 
@@ -89,6 +92,37 @@ void BM_PacketSealOpen(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * 1400);
 }
 BENCHMARK(BM_PacketSealOpen);
+
+void BM_ContentFill(benchmark::State& state) {
+  // One 64 KiB read's worth of server body or client check.
+  const video::VideoModel model(video::VideoSpec{});
+  std::vector<std::uint8_t> out(64 * 1024);
+  std::uint64_t offset = 3;  // unaligned, as stream offsets usually are
+  for (auto _ : state) {
+    model.fill(offset, out.data(), out.size());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+    offset += out.size();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(out.size()));
+}
+BENCHMARK(BM_ContentFill);
+
+void BM_GfAddmul(benchmark::State& state) {
+  // One packet-sized RS row operation with a general coefficient.
+  const auto c = static_cast<std::uint8_t>(state.range(0));
+  std::vector<std::uint8_t> dst(1200), src(1200);
+  for (std::size_t i = 0; i < src.size(); ++i)
+    src[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  for (auto _ : state) {
+    fec::gf_addmul(dst, src, c);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * 1200);
+}
+BENCHMARK(BM_GfAddmul)->Arg(0x8e);
 
 void BM_IntervalSetAdd(benchmark::State& state) {
   for (auto _ : state) {

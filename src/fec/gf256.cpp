@@ -18,6 +18,13 @@ Gf256Tables::Gf256Tables() {
   }
   for (unsigned i = 255; i < 512; ++i) exp[i] = exp[i - 255];
   log[0] = 0;  // never read; keeps the table fully initialised
+  for (unsigned a = 0; a < 256; ++a) {
+    for (unsigned b = 0; b < 256; ++b) {
+      mul[a][b] = (a == 0 || b == 0)
+                      ? 0
+                      : exp[static_cast<unsigned>(log[a]) + log[b]];
+    }
+  }
 }
 
 const Gf256Tables& gf_tables() {
@@ -30,30 +37,19 @@ const Gf256Tables& gf_tables() {
 void gf_addmul(std::span<std::uint8_t> dst, std::span<const std::uint8_t> src,
                std::uint8_t c) {
   const std::size_t n = dst.size() < src.size() ? dst.size() : src.size();
-  if (c == 0 || n == 0) return;
+  if (c == 0) return;
   if (c == 1) {
     for (std::size_t i = 0; i < n; ++i) dst[i] ^= src[i];
     return;
   }
-  const auto& t = detail::gf_tables();
-  const unsigned log_c = t.log[c];
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint8_t s = src[i];
-    if (s) dst[i] ^= t.exp[log_c + t.log[s]];
-  }
+  const std::uint8_t* row = detail::gf_tables().mul[c];
+  for (std::size_t i = 0; i < n; ++i) dst[i] ^= row[src[i]];
 }
 
 void gf_scale(std::span<std::uint8_t> dst, std::uint8_t c) {
   if (c == 1) return;
-  if (c == 0) {
-    for (auto& b : dst) b = 0;
-    return;
-  }
-  const auto& t = detail::gf_tables();
-  const unsigned log_c = t.log[c];
-  for (auto& b : dst) {
-    if (b) b = t.exp[log_c + t.log[b]];
-  }
+  const std::uint8_t* row = detail::gf_tables().mul[c];
+  for (auto& b : dst) b = row[b];
 }
 
 }  // namespace xlink::fec

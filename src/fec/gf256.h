@@ -3,10 +3,12 @@
 // GF(2^8) arithmetic for the FEC subsystem.
 //
 // The field is GF(2^8) with the AES/Rijndael reduction polynomial
-// x^8 + x^4 + x^3 + x + 1 (0x11b). Multiplication and division go through
-// log/exp tables built once at static-init time from the generator 0x03,
-// so every operation is a couple of table lookups -- no branches beyond
-// the zero checks, no allocations, fully deterministic.
+// x^8 + x^4 + x^3 + x + 1 (0x11b). Scalar multiplication and division go
+// through log/exp tables from the generator 0x03, so every operation is a
+// couple of table lookups -- no branches beyond the zero checks, no
+// allocations, fully deterministic. The row operations read a 256x256
+// product table instead: one lookup per byte into row c, no branch. All
+// tables are built once, at first use.
 
 #include <cstddef>
 #include <cstdint>
@@ -19,6 +21,7 @@ namespace detail {
 struct Gf256Tables {
   std::uint8_t exp[512];  // exp[i] = g^i, doubled so mul needs no mod 255
   std::uint8_t log[256];  // log[exp[i]] = i; log[0] unused
+  std::uint8_t mul[256][256];  // mul[a][b] = a * b
   Gf256Tables();
 };
 
@@ -48,7 +51,8 @@ inline std::uint8_t gf_inv(std::uint8_t a) {
 
 /// dst[i] ^= c * src[i] over the whole span. The row operation behind both
 /// RS encode (accumulate coded symbols) and decode (matrix elimination).
-/// c == 0 is a no-op, c == 1 is a plain XOR; both fast-pathed.
+/// c == 0 is a no-op and c == 1 a plain XOR; any other c costs one
+/// product-table lookup per byte.
 void gf_addmul(std::span<std::uint8_t> dst, std::span<const std::uint8_t> src,
                std::uint8_t c);
 

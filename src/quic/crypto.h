@@ -1,9 +1,18 @@
 // Packet protection with the multipath nonce construction.
 //
 // Real QUIC uses AES-GCM/ChaCha20-Poly1305; the cryptography itself is
-// irrelevant to transport behaviour, so we use a toy AEAD (a 64-bit PRF
-// keystream plus an 8-byte MAC over header and ciphertext). What we keep
-// EXACTLY as the draft specifies is the nonce: a 96-bit
+// irrelevant to transport behaviour, so we use a toy AEAD that costs per
+// 8-byte word, not per byte. Each packet derives one base value from the
+// key and the nonce. The keystream is one PRF of (base ^ block index) per
+// 8-byte block, XORed as a little-endian word. The 8-byte tag runs four
+// independent multiply-xor lanes over the words of header and ciphertext
+// (each lane update a bijection, the lanes combined injectively through
+// nested PRFs, then the base folded in), so every single-bit flip of
+// header, ciphertext or tag fails authentication, not just most of them.
+// Words and the tag are little-endian on the wire, so the bytes are the
+// same on every host.
+//
+// What we keep EXACTLY as the draft specifies is the nonce: a 96-bit
 // path-and-packet-number -- the 32-bit CID sequence number, two zero bits,
 // and the 62-bit packet number -- left-padded to IV size and XORed with the
 // IV. Using the wrong path id or packet number fails authentication, which
@@ -55,11 +64,9 @@ class PacketProtection {
   std::uint64_t key() const { return key_; }
 
  private:
-  Nonce effective_nonce(std::uint32_t cid_sequence, PacketNumber pn) const;
-  void apply_keystream(const Nonce& nonce, std::uint8_t* data,
-                       std::size_t len) const;
-  std::uint64_t mac(const Nonce& nonce, std::span<const std::uint8_t> aad,
-                    std::span<const std::uint8_t> ciphertext) const;
+  /// key ^ PRF(effective nonce): the one per-packet value the keystream
+  /// and the tag both derive from.
+  std::uint64_t packet_base(std::uint32_t cid_sequence, PacketNumber pn) const;
 
   std::uint64_t key_;
   // Per-connection IV derived from the key once (fixed derivation).

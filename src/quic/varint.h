@@ -4,13 +4,41 @@
 // sizes are authentic (they feed congestion control and pacing).
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 namespace xlink::quic {
+
+/// `v` with its bytes swapped on a big-endian host (a no-op elsewhere);
+/// the swap is its own inverse, so it serves loads and stores alike.
+constexpr std::uint64_t native_le64(std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    return v;
+  } else {
+    std::uint64_t r = 0;
+    for (int i = 0; i < 8; ++i) r = (r << 8) | ((v >> (8 * i)) & 0xff);
+    return r;
+  }
+}
+
+/// Little-endian 64-bit word at `p` (any alignment). The word-at-a-time
+/// byte loops (AEAD, content fill) go through these, so their bytes are
+/// the same on every host whatever its byte order.
+inline std::uint64_t load_le64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, 8);
+  return native_le64(v);
+}
+
+inline void store_le64(std::uint8_t* p, std::uint64_t v) {
+  v = native_le64(v);
+  std::memcpy(p, &v, 8);
+}
 
 /// Largest value representable as a QUIC varint (2^62 - 1).
 constexpr std::uint64_t kVarintMax = (1ULL << 62) - 1;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "quic/varint.h"
 #include "sim/rng.h"
 
 namespace xlink::video {
@@ -36,12 +37,27 @@ std::uint32_t VideoModel::frames_in_prefix(std::uint64_t bytes) const {
   return static_cast<std::uint32_t>(it - (frame_offsets_.begin() + 1));
 }
 
-std::uint8_t VideoModel::byte_at(std::uint64_t offset) const {
-  std::uint64_t x = offset ^ (spec_.seed * 0x9e3779b97f4a7c15ULL);
+std::uint64_t VideoModel::word_at(std::uint64_t word) const {
+  std::uint64_t x = word ^ (spec_.seed * 0x9e3779b97f4a7c15ULL);
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdULL;
   x ^= x >> 33;
-  return static_cast<std::uint8_t>(x);
+  return x;
+}
+
+std::uint8_t VideoModel::byte_at(std::uint64_t offset) const {
+  return static_cast<std::uint8_t>(word_at(offset >> 3) >> (8 * (offset & 7)));
+}
+
+void VideoModel::fill(std::uint64_t offset, std::uint8_t* out,
+                      std::size_t len) const {
+  // Bytes before the first aligned word, whole words, then the tail.
+  std::size_t i = 0;
+  for (; i < len && ((offset + i) & 7) != 0; ++i)
+    out[i] = byte_at(offset + i);
+  for (; len - i >= 8; i += 8)
+    quic::store_le64(out + i, word_at((offset + i) >> 3));
+  for (; i < len; ++i) out[i] = byte_at(offset + i);
 }
 
 BitrateLadder BitrateLadder::scaled(std::uint64_t top_bps) {

@@ -48,8 +48,14 @@ class VideoModel {
   /// Number of whole frames contained in the contiguous byte prefix.
   std::uint32_t frames_in_prefix(std::uint64_t bytes) const;
 
-  /// Deterministic content byte at `offset` (server fill / client check).
+  /// Deterministic content byte at `offset`: byte `offset & 7` of the
+  /// little-endian content word `offset >> 3`.
   std::uint8_t byte_at(std::uint64_t offset) const;
+
+  /// Writes content bytes [offset, offset + len) to `out`, one hash per
+  /// aligned 8-byte word (server fill / client check). Equal to byte_at
+  /// at every byte.
+  void fill(std::uint64_t offset, std::uint8_t* out, std::size_t len) const;
 
   /// Play duration of one frame.
   sim::Duration frame_interval() const {
@@ -57,6 +63,9 @@ class VideoModel {
   }
 
  private:
+  /// Content word `word`: a murmur finalizer of the word index and seed.
+  std::uint64_t word_at(std::uint64_t word) const;
+
   VideoSpec spec_;
   std::vector<std::uint64_t> frame_offsets_;  // size frame_count()+1
 };

@@ -4,6 +4,7 @@
 
 #include "quic/crypto.h"
 #include "quic/packet.h"
+#include "quic/varint.h"
 
 namespace xlink::quic {
 namespace {
@@ -115,6 +116,86 @@ TEST(Aead, EmptyPlaintextAuthenticates) {
   const auto opened = aead.open_in_place(0, 1, aad, sealed);
   ASSERT_TRUE(opened.has_value());
   EXPECT_EQ(*opened, 0u);
+}
+
+/// Payload lengths that reach every keystream and MAC tail: 0-40 covers
+/// each partial word after zero to five whole words (and one whole 32-byte
+/// lane round), 1,200 is a full packet.
+std::vector<std::size_t> tail_lengths() {
+  std::vector<std::size_t> lens;
+  for (std::size_t len = 0; len <= 40; ++len) lens.push_back(len);
+  lens.push_back(1200);
+  return lens;
+}
+
+std::vector<std::uint8_t> pattern(std::size_t len, std::uint8_t salt) {
+  std::vector<std::uint8_t> v(len);
+  for (std::size_t i = 0; i < len; ++i)
+    v[i] = static_cast<std::uint8_t>(i * 37 + salt);
+  return v;
+}
+
+TEST(Aead, RoundTripsAtEveryTailLength) {
+  PacketProtection aead(0x5eed);
+  const auto aad = pattern(13, 1);
+  for (const std::size_t len : tail_lengths()) {
+    const auto plaintext = pattern(len, 2);
+    auto sealed = seal(aead, 4, 1000 + len, aad, plaintext);
+    const auto opened = aead.open_in_place(4, 1000 + len, aad, sealed);
+    ASSERT_TRUE(opened.has_value()) << "len " << len;
+    sealed.resize(*opened);
+    ASSERT_EQ(sealed, plaintext) << "len " << len;
+  }
+}
+
+TEST(Aead, EverySingleBitFlipIsRejected) {
+  // Header, ciphertext and tag: each bit flipped alone must fail, at every
+  // tail length (the MAC's lane updates are bijections, so this is
+  // deterministic, not probabilistic).
+  PacketProtection aead(0x5eed);
+  for (const std::size_t len : tail_lengths()) {
+    const auto aad = pattern(len % 11 + 9, 3);
+    const auto sealed = seal(aead, 2, 77, aad, pattern(len, 4));
+    for (std::size_t bit = 0; bit < aad.size() * 8; ++bit) {
+      auto bad_aad = aad;
+      bad_aad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      auto copy = sealed;
+      ASSERT_FALSE(aead.open_in_place(2, 77, bad_aad, copy).has_value())
+          << "len " << len << " header bit " << bit;
+    }
+    for (std::size_t bit = 0; bit < sealed.size() * 8; ++bit) {
+      auto bad = sealed;
+      bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      ASSERT_FALSE(aead.open_in_place(2, 77, aad, bad).has_value())
+          << "len " << len << " ciphertext/tag bit " << bit;
+    }
+  }
+}
+
+TEST(Aead, WrongPathIdOrPacketNumberIsRejectedAtEveryTailLength) {
+  PacketProtection aead(0x5eed);
+  const auto aad = pattern(9, 5);
+  for (const std::size_t len : tail_lengths()) {
+    const auto sealed = seal(aead, 6, 500, aad, pattern(len, 6));
+    const std::pair<std::uint32_t, PacketNumber> wrong[] = {
+        {7, 500}, {6, 501}, {6, 500 | (1ULL << 61)}};
+    for (const auto& [cid, pn] : wrong) {
+      auto copy = sealed;
+      ASSERT_FALSE(aead.open_in_place(cid, pn, aad, copy).has_value())
+          << "len " << len << " cid " << cid << " pn " << pn;
+    }
+  }
+}
+
+TEST(Aead, KnownAnswerVector) {
+  // Pins the wire format: a change to the keystream, the MAC or their byte
+  // order fails here until the new vector is explained and re-pinned.
+  PacketProtection aead(0x0123456789abcdefULL);
+  const std::vector<std::uint8_t> aad{0x40, 0xde, 0xad, 0xbe, 0xef, 0x01};
+  const auto sealed = seal(aead, 3, 0x1234, aad, pattern(21, 0));
+  ASSERT_EQ(sealed.size(), 21 + kAeadTagSize);
+  EXPECT_EQ(load_le64(sealed.data()), 0xbac48b46c51ed7f0ULL);
+  EXPECT_EQ(load_le64(sealed.data() + 21), 0xc6c33a5926583a4aULL);
 }
 
 /// Receive path as Connection::on_datagram runs it: parse the header view,

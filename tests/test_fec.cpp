@@ -122,24 +122,34 @@ TEST(Gf256, DivisionInvertsMultiplicationForEveryPair) {
   }
 }
 
+TEST(Gf256, ProductTableEqualsMulForEveryPair) {
+  const auto& t = fec::detail::gf_tables();
+  for (unsigned a = 0; a < 256; ++a)
+    for (unsigned b = 0; b < 256; ++b)
+      ASSERT_EQ(t.mul[a][b], fec::gf_mul(static_cast<std::uint8_t>(a),
+                                         static_cast<std::uint8_t>(b)))
+          << a << " * " << b;
+}
+
 TEST(Gf256, AddmulAndScaleMatchScalarReference) {
   ByteStream bs(42);
-  std::vector<std::uint8_t> dst(257), src(257), ref(257);
+  std::vector<std::uint8_t> dst(257), src(257);
   for (auto& v : dst) v = bs.next();
   for (auto& v : src) v = bs.next();
-  for (const std::uint8_t c : {0, 1, 2, 0x1d, 0x80, 0xff}) {
-    ref = dst;
-    for (std::size_t i = 0; i < ref.size(); ++i)
-      ref[i] = static_cast<std::uint8_t>(ref[i] ^ fec::gf_mul(c, src[i]));
+  for (unsigned cu = 0; cu < 256; ++cu) {
+    const auto c = static_cast<std::uint8_t>(cu);
+    auto added = dst;
+    for (std::size_t i = 0; i < added.size(); ++i)
+      added[i] = static_cast<std::uint8_t>(added[i] ^ fec::gf_mul(c, src[i]));
     auto got = dst;
     fec::gf_addmul(got, src, c);
-    ASSERT_EQ(got, ref) << "addmul c=" << int(c);
+    ASSERT_EQ(got, added) << "addmul c=" << int(c);
 
-    ref = dst;
-    for (auto& v : ref) v = fec::gf_mul(c, v);
-    got = dst;
-    fec::gf_scale(got, c);
-    ASSERT_EQ(got, ref) << "scale c=" << int(c);
+    auto scaled = dst;
+    for (auto& v : scaled) v = fec::gf_mul(c, v);
+    auto got_scaled = dst;
+    fec::gf_scale(got_scaled, c);
+    ASSERT_EQ(got_scaled, scaled) << "scale c=" << int(c);
   }
   // Shorter source: addmul must stop at the shorter span (the implicit
   // zero-padding rule the framer's variable-length symbols rely on).

@@ -74,6 +74,28 @@ TEST(VideoModel, ContentDeterministicAndSeedDependent) {
   EXPECT_LT(same, 16);
 }
 
+TEST(VideoModel, FillEqualsByteAtAtEveryAlignment) {
+  const VideoModel m(spec_10s());
+  for (std::uint64_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 17; ++len) {
+      // Guard bytes on both sides catch a write outside [0, len).
+      std::vector<std::uint8_t> out(len + 2, 0xa5);
+      m.fill(1000 + start, out.data() + 1, len);
+      ASSERT_EQ(out.front(), 0xa5);
+      ASSERT_EQ(out.back(), 0xa5);
+      for (std::size_t i = 0; i < len; ++i)
+        ASSERT_EQ(out[1 + i], m.byte_at(1000 + start + i))
+            << "start " << start << " len " << len << " byte " << i;
+    }
+  }
+  // One long range at an odd start, written to an odd address.
+  const std::size_t len = 512 * 1024;
+  std::vector<std::uint8_t> out(len + 1);
+  m.fill(12'345, out.data() + 1, len);
+  for (std::size_t i = 0; i < len; ++i)
+    ASSERT_EQ(out[1 + i], m.byte_at(12'345 + i)) << "byte " << i;
+}
+
 TEST(ChunkPlan, SplitsWithShortTail) {
   const auto plan = ChunkPlan::fixed_size(1000, 300);
   ASSERT_EQ(plan.chunks.size(), 4u);
